@@ -3,6 +3,7 @@
 closed-form OLS fit over bin means."""
 
 import logging
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -37,6 +38,8 @@ def load_bitscores(stream):
             score = float(cols[2])
         except ValueError:
             raise MalformedLine(lineno, f"bad score {cols[2]!r}") from None
+        if not math.isfinite(score):
+            raise MalformedLine(lineno, f"non-finite score {cols[2]!r}")
         if score < 0:
             raise NegativeScore(lineno, score)
         key = (cols[0], cols[1])

@@ -44,13 +44,27 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+# fields that count something and are meaningless below 1
+_AT_LEAST_ONE = ("bin_size", "workers")
+
+
 def _parse_value(name, text):
+    """Typed value of a config field from its env or config-file text."""
     kind = RunConfig.__dataclass_fields__[name].type
-    if kind == "bool":
-        return text.strip().lower() in ("1", "true", "yes", "on")
-    if kind == "int":
-        return int(text)
-    return text.strip()
+    text = text.strip()
+    if kind is bool:
+        word = text.lower()
+        if word in ("1", "true", "yes", "on"):
+            return True
+        if word in ("0", "false", "no", "off"):
+            return False
+        raise DagicError(f"{name}: expected true or false, got {text!r}")
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise DagicError(f"{name}: expected an integer, got {text!r}") from None
+    return text
 
 
 def _read_config_file(path):
@@ -66,7 +80,10 @@ def _read_config_file(path):
             key = key.strip().replace("-", "_")
             if key not in RunConfig.__dataclass_fields__:
                 raise DagicError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _parse_value(key, value)
+            try:
+                values[key] = _parse_value(key, value)
+            except DagicError as exc:
+                raise DagicError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -81,6 +98,9 @@ def resolve_config(args):
             setattr(cfg, f.name, _parse_value(f.name, os.environ[env_key]))
         elif f.name in file_values:
             setattr(cfg, f.name, file_values[f.name])
+    for name in _AT_LEAST_ONE:
+        if getattr(cfg, name) < 1:
+            raise DagicError(f"{name} must be at least 1, got {getattr(cfg, name)}")
     return cfg
 
 

@@ -55,11 +55,10 @@ class Ontology:
         self._children = children
         self.anc_bits = anc_bits            # (n, w) uint64, reflexive
         self.desc_bits = desc_bits          # (n, w) uint64, strict
-        self.blocked_bits = anc_bits | desc_bits
         self.anc_counts = popcount_rows(anc_bits)
         self.desc_counts = popcount_rows(desc_bits)
         self.depth = depth                  # (n,) int64, min edge distance
-        for arr in (self.anc_bits, self.desc_bits, self.blocked_bits,
+        for arr in (self.anc_bits, self.desc_bits,
                     self.anc_counts, self.desc_counts, self.depth):
             arr.setflags(write=False)
 

@@ -11,7 +11,8 @@ Three per-term metrics:
 Entropy H of the ontology is the joint entropy of drawing a two-term
 annotation under maximum-entropy selection: the first term x is uniform
 over N, the second uniform over Y_x = (N \\ (desc(x) | anc(x))) | {root}.
-All entropies are reported in bits.
+All entropies are reported in bits. The all-terms gIC sweep is one walk
+over a spanning tree of the DAG (conditional_entropies_all).
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -53,29 +54,38 @@ class ICTable:
 
 
 def _second_term_counts(o):
-    # |Y_x| = |N| - |blocked(x)| + 1; root is always blocked and re-added
-    return len(o) + 1 - popcount_rows(o.blocked_bits)
+    # |Y_x| = |N| - |blocked(x)| + 1 with blocked(x) = anc(x) | desc(x);
+    # reflexive anc and strict desc are disjoint, and the root is always
+    # blocked and re-added
+    return len(o) + 1 - o.anc_counts - o.desc_counts
 
 
 def candidate_second_terms(o, x):
     """Y_x: terms selectable after x, i.e. neither ancestor nor descendant
     of x (nor x itself), with the root always re-admitted."""
     i = o.index(x)
-    mask = ~unpack_row(o.blocked_bits[i], len(o))
+    n = len(o)
+    mask = ~(unpack_row(o.anc_bits[i], n) | unpack_row(o.desc_bits[i], n))
     mask[o.root_index] = True
     return frozenset(o.ids[j] for j in np.flatnonzero(mask))
+
+
+def _joint_bits(first_count, y_sizes):
+    # a uniform first draw over first_count terms, then a uniform second
+    # draw over y_sizes[x] terms (sizes of 1 add 0 bits); one shared
+    # formula keeps H(.|root) and H bit-identical
+    conditional = np.log2(y_sizes.astype(np.float64))
+    return float(np.log2(first_count)) + float(conditional.sum()) / first_count
 
 
 def ontology_entropy(o):
     """Two-term annotation entropy of the ontology, in bits."""
     n = len(o)
     y_sizes = _second_term_counts(o)
-    conditional = np.log2(y_sizes.astype(np.float64))
-    first = float(np.log2(n))
     return EntropyReport(
-        total_bits=first + float(conditional.sum()) / n,
-        first_term_entropy=first,
-        conditional_bits=conditional,
+        total_bits=_joint_bits(n, y_sizes),
+        first_term_entropy=float(np.log2(n)),
+        conditional_bits=np.log2(y_sizes.astype(np.float64)),
         y_sizes=y_sizes,
     )
 
@@ -99,48 +109,87 @@ def conditional_entropy_given(o, z):
     """Joint entropy of the two-term draw once z is assigned: the first
     term ranges over X_z = (N \\ anc(z)) | {root}, the second over
     Y_xz = (N \\ (desc(x) | anc(x) | anc(z))) | {root}."""
-    return _conditional_entropy_index(o, o.index(z))
+    zi = o.index(z)
+    shared = popcount_rows(o.anc_bits & o.anc_bits[zi])
+    return _entropy_given(o, zi, shared, _second_term_counts(o))
 
 
-def _conditional_entropy_index(o, zi, buf=None, cnt=None):
-    n = len(o)
-    if buf is None:
-        buf = np.empty_like(o.blocked_bits)
-        cnt = np.empty_like(buf)
-    np.bitwise_or(o.blocked_bits, o.anc_bits[zi], out=buf)
-    np.bitwise_count(buf, out=cnt)
-    y_sizes = n + 1 - cnt.sum(axis=1, dtype=np.int64)
-    logs = np.log2(y_sizes.astype(np.float64))
+def _entropy_given(o, zi, shared, y_base):
+    """H(X_z, Y_xz | z) from shared[x] = |anc(x) & anc(z)| and y_base = |Y_x|.
 
-    anc_mask = unpack_row(o.anc_bits[zi], n)
-    x_count = n - int(anc_mask.sum()) + 1
-    # X_z = complement of anc(z), plus the root (always an ancestor of z)
-    total = float(logs.sum() - logs[anc_mask].sum() + logs[o.root_index])
-    return float(np.log2(x_count)) + total / x_count
+    For x outside anc(z), desc(x) and anc(z) are disjoint (a descendant
+    of x above z would put x above z), so
+    |Y_xz| = |Y_x| - |anc(z)| + |anc(x) & anc(z)|. The terms of anc(z),
+    recognized by anc(x) being inside anc(z), leave X_z; the root, which
+    is re-admitted, has Y_root,z = {root} and adds log2(1) = 0.
+    """
+    a = int(o.anc_counts[zi])
+    y = y_base - a + shared
+    y[shared == o.anc_counts] = 1
+    return _joint_bits(len(o) - a + 1, y)
 
 
 def conditional_entropies_all(o, workers=1):
     """H(X_z, Y_xz | z) for every z, deterministic across worker counts.
 
-    Workers split the term range into contiguous chunks and write to
-    disjoint slices of the output; the ontology is read-only shared.
+    One walk over a spanning tree of the DAG carries
+    S_z[x] = |anc(x) & anc(z)| from a term to its tree children: each
+    non-root z hangs under its parent p with the most ancestors, and
+    S_z = S_p + sum of 1[x in desc*(a)] over a in anc(z) \\ anc(p), where
+    desc* is the reflexive descendant set, and S_root = 1. Near-root
+    ancestors, whose descendant sets are large, are almost always in
+    anc(p) already, so the walk visits few descendant entries per term.
+    The walk is depth-first, so one S vector per depth level is live.
+
+    Workers take whole subtrees of the root's tree children; every S is
+    an exact integer vector and each z is reduced alone, so the result
+    does not depend on the worker count.
     """
     n = len(o)
     out = np.empty(n, dtype=np.float64)
+    y_base = _second_term_counts(o)
+    root = o.root_index
+    # tree parent: the parent with the most ancestors, lowest index on ties
+    tree_parent = {}
+    for c, p in o.edges:
+        q = tree_parent.get(c)
+        if q is None or o.anc_counts[p] > o.anc_counts[q]:
+            tree_parent[c] = p
+    tree_children = [[] for _ in range(n)]
+    for c, p in tree_parent.items():
+        tree_children[p].append(c)
 
-    def run(lo, hi):
-        buf = np.empty_like(o.blocked_bits)
-        cnt = np.empty_like(buf)
-        for zi in range(lo, hi):
-            out[zi] = _conditional_entropy_index(o, zi, buf, cnt)
+    def reflexive_desc(a):
+        mask = unpack_row(o.desc_bits[a], n)
+        mask[a] = True
+        return np.flatnonzero(mask)
 
-    if workers <= 1 or n < 2 * workers:
-        run(0, n)
+    s_root = np.ones(n, dtype=np.int64)
+
+    def walk(tops):
+        cache = {}
+        stack = [(z, root, s_root) for z in reversed(tops)]
+        while stack:
+            z, p, s_p = stack.pop()
+            lists = []
+            for a in np.flatnonzero(unpack_row(o.anc_bits[z] & ~o.anc_bits[p], n)):
+                idx = cache.get(a)
+                if idx is None:
+                    idx = cache[a] = reflexive_desc(a)
+                lists.append(idx)
+            s = s_p + np.bincount(np.concatenate(lists), minlength=n)
+            out[z] = _entropy_given(o, z, s, y_base)
+            stack.extend((c, z, s) for c in reversed(tree_children[z]))
+
+    out[root] = _entropy_given(o, root, s_root, y_base)
+    tops = tree_children[root]
+    if workers <= 1 or len(tops) < 2:
+        walk(tops)
     else:
-        bounds = np.linspace(0, n, workers + 1).astype(int)
+        # deal subtrees round-robin; any split gives identical output
+        shares = [tops[k::workers] for k in range(workers)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run, bounds[k], bounds[k + 1])
-                       for k in range(workers)]
+            futures = [pool.submit(walk, share) for share in shares if share]
             for f in futures:
                 f.result()
     return out

@@ -52,6 +52,14 @@ def test_load_malformed():
         load_bitscores(io.StringIO("p1\tp2\tnotanumber\n"))
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_load_non_finite(text):
+    with pytest.raises(MalformedLine) as err:
+        load_bitscores(io.StringIO(f"p1\tp1\t100\np1\tp2\t{text}\n"))
+    assert err.value.line_number == 2
+    assert "non-finite" in str(err.value)
+
+
 def test_load_negative():
     with pytest.raises(NegativeScore):
         load_bitscores(io.StringIO("p1\tp2\t-5\n"))

@@ -143,10 +143,13 @@ def test_semsim_output(diamond_obo, tmp_path):
     assert cols[5] == "X:1"  # mica
 
 
-def _run_benchmark(out_dir, *extra):
-    return run_cli("benchmark", "--obo", OBO, "--namespace", "molecular_function",
-                   "--corpus", CORPUS, "--metric", "gic", "--bin-size", "100",
-                   "--bitscores", SCORES, "--out-dir", str(out_dir), *extra)
+def _run_benchmark(out_dir, *extra, bin_size="100", env_extra=None, config=None):
+    prefix = ["--config", str(config)] if config else []
+    sized = ["--bin-size", bin_size] if bin_size else []
+    return run_cli(*prefix, "benchmark", "--obo", OBO, "--namespace", "molecular_function",
+                   "--corpus", CORPUS, "--metric", "gic", *sized,
+                   "--bitscores", SCORES, "--out-dir", str(out_dir), *extra,
+                   env_extra=env_extra)
 
 
 def test_benchmark_matches_expected(tmp_path):
@@ -223,3 +226,88 @@ def test_invalid_utf8_is_error(tmp_path):
     path.write_bytes(b"[Term]\nid: X:\xff1\n")
     result = run_cli("entropy", "--obo", str(path))
     assert result.returncode == 1
+
+
+# --- typed env and config-file values ---
+
+def _summary_config(out_dir):
+    with open(out_dir / "summary.json") as fh:
+        return json.load(fh)["config"]
+
+
+def test_env_values_are_typed(diamond_obo, tmp_path):
+    plain = run_cli("ic", "--obo", diamond_obo, "--metric", "gic")
+    result = run_cli("ic", "--obo", diamond_obo, "--metric", "gic",
+                     env_extra={"DAGIC_WORKERS": "2"})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == plain.stdout
+
+    corpus = tmp_path / "ann.tsv"
+    corpus.write_text("g1\tX:3\ng2\tX:1\n")
+    result = run_cli("ic", "--obo", diamond_obo, "--metric", "ric",
+                     "--corpus", str(corpus), env_extra={"DAGIC_MIN_DEPTH": "0"})
+    assert result.returncode == 0, result.stderr
+    rows = {line.split("\t")[0]: line.split("\t")[1] for line in result.stdout.splitlines()}
+    assert rows["X:3"] == "1.000000"  # g2's depth-1 annotation kept: p(X:3) = 1/2
+
+    out = tmp_path / "env"
+    result = _run_benchmark(out, env_extra={"DAGIC_INCLUDE_IDENTICAL": "false",
+                                            "DAGIC_WORKERS": "2"})
+    assert result.returncode == 0, result.stderr
+    cfg = _summary_config(out)
+    assert cfg["include_identical"] is False
+    assert cfg["workers"] == 2
+
+
+def test_config_file_values_are_typed(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("workers = 2\ninclude_identical = yes\nmin_depth = 3\n")
+    out = tmp_path / "cfg"
+    result = _run_benchmark(out, config=cfg_file)
+    assert result.returncode == 0, result.stderr
+    cfg = _summary_config(out)
+    assert cfg["workers"] == 2
+    assert cfg["include_identical"] is True
+    assert cfg["min_depth"] == 3
+
+
+@pytest.mark.parametrize("env", [{"DAGIC_WORKERS": "two"},
+                                 {"DAGIC_INCLUDE_IDENTICAL": "maybe"}])
+def test_env_bad_value_exit_2(diamond_obo, env):
+    result = run_cli("ic", "--obo", diamond_obo, env_extra=env)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
+def test_config_file_bad_value_names_line(diamond_obo, tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"obo_path = {diamond_obo}\nworkers = 1.5\n")
+    result = run_cli("--config", str(cfg_file), "ic")
+    assert result.returncode == 2
+    assert f"{cfg_file}:2:" in result.stderr
+
+
+# --- range checks ---
+
+@pytest.mark.parametrize("extra, env, config", [
+    (("--bin-size", "0"), None, None),
+    (("--bin-size", "-3"), None, None),
+    (("--workers", "0"), None, None),
+    ((), {"DAGIC_BIN_SIZE": "0"}, None),
+    ((), {"DAGIC_WORKERS": "0"}, None),
+    ((), None, "bin_size = 0\n"),
+    ((), None, "workers = -1\n"),
+])
+def test_range_checks_exit_2(tmp_path, extra, env, config):
+    cfg_file = None
+    if config:
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(config)
+    result = _run_benchmark(tmp_path / "out", *extra, bin_size=None,
+                            env_extra=env, config=cfg_file)
+    assert result.returncode == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert "at least 1" in lines[0]
+    assert not (tmp_path / "out").exists()

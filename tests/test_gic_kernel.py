@@ -1,0 +1,102 @@
+"""Property tests for the all-terms conditional-entropy walk.
+
+The walk hangs every term under one parent (a spanning tree) and adds
+the ancestors the other parents bring; the DAGs drawn here have
+multi-parent terms whose extra parents carry ancestors the tree parent
+lacks, so both halves of the update run.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dagic import build_ontology, gic, ontology_entropy
+from dagic.metrics import conditional_entropies_all
+
+from test_metrics import brute
+
+
+@st.composite
+def dags(draw, max_nodes=14):
+    """Single-rooted DAG as (n, parent lists); node 0 is the root and
+    every other node takes 1-3 parents among lower-numbered nodes."""
+    n = draw(st.integers(2, max_nodes))
+    parents = [draw(st.sets(st.integers(0, i - 1), min_size=1, max_size=3))
+               for i in range(1, n)]
+    return n, parents
+
+
+def build(spec):
+    n, parents = spec
+    ids = [f"n{i:02d}" for i in range(n)]
+    edges = [(ids[i], ids[p]) for i, ps in enumerate(parents, start=1) for p in ps]
+    return build_ontology(ids, edges)
+
+
+# n04 hangs under n03 (three ancestors) while n02 adds itself; n05 then
+# takes n04 as tree parent and inherits that extra ancestor
+EXTRA_ANCESTOR = (6, [{0}, {0}, {1}, {2, 3}, {4}])
+
+common = settings(max_examples=150, deadline=None)
+
+
+@common
+@given(dags())
+@example(EXTRA_ANCESTOR)
+def test_walk_matches_brute_force(spec):
+    o = build(spec)
+    cond = conditional_entropies_all(o)
+    for zi, z in enumerate(o.ids):
+        assert abs(cond[zi] - brute(o, z)) <= 1e-9
+
+
+@common
+@given(dags())
+@example(EXTRA_ANCESTOR)
+def test_walk_identical_across_workers(spec):
+    o = build(spec)
+    single = conditional_entropies_all(o, workers=1)
+    for workers in (2, 3):
+        assert np.array_equal(single, conditional_entropies_all(o, workers=workers))
+
+
+@common
+@given(dags())
+@example(EXTRA_ANCESTOR)
+def test_gic_at_most_one(spec):
+    # conditional entropies are non-negative, so (H - H(.|z)) / H <= 1
+    table = gic(build(spec))
+    assert np.all(table.raw <= 1.0) and np.all(table.normalized <= 1.0)
+    assert table.raw[table.ontology.root_index] == 0.0
+
+
+# A chain r -> n01 over a star of leaves: assigning n01 only takes n01,
+# whose second draw is {root} alone, out of the first draw, so the mean
+# second-draw entropy rises more than log2 of the first draw falls.
+CHAIN_OVER_STAR = (6, [{0}, {1}, {1}, {1}, {1}])
+# n02 sits under n01 and the root, yet is less informative than n01.
+NON_MONOTONE = (7, [{0}, {0, 1}, {2}, {0, 1, 2}, {0, 1, 2}, {0, 2}])
+
+
+def test_gic_not_bounded_below_or_monotone_on_every_dag():
+    """gIC is a relative entropy drop, and the drop can be negative or
+    shrink along an edge; the brute-force sets agree with the kernel."""
+    o = build(CHAIN_OVER_STAR)
+    h = ontology_entropy(o).total_bits
+    assert brute(o, "n01") > h
+    assert gic(o).raw_of("n01") == pytest.approx((h - brute(o, "n01")) / h, abs=1e-12)
+    assert gic(o).raw_of("n01") < 0.0
+
+    o = build(NON_MONOTONE)
+    assert brute(o, "n02") > brute(o, "n01")
+    assert gic(o).raw_of("n02") < gic(o).raw_of("n01")
+
+
+@common
+@given(dags())
+@example(EXTRA_ANCESTOR)
+def test_root_conditional_is_total_entropy(spec):
+    o = build(spec)
+    cond = conditional_entropies_all(o)
+    assert cond[o.root_index] == ontology_entropy(o).total_bits

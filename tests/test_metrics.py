@@ -109,18 +109,19 @@ def test_conditional_diamond(diamond):
     assert conditional_entropy_given(diamond, "c") == 0.0
 
 
-def test_conditional_matches_brute_force(rng):
-    def brute(o, z):
-        n = set(o.ids)
-        anc = {t: o.ancestors(t) for t in o.ids}
-        desc = {t: o.descendants(t) for t in o.ids}
-        first = (n - anc[z]) | {o.root}
-        h = math.log2(len(first))
-        for x in first:
-            second = (n - (desc[x] | anc[x] | anc[z])) | {o.root}
-            h += math.log2(len(second)) / len(first)
-        return h
+def brute(o, z):
+    n = set(o.ids)
+    anc = {t: o.ancestors(t) for t in o.ids}
+    desc = {t: o.descendants(t) for t in o.ids}
+    first = (n - anc[z]) | {o.root}
+    h = math.log2(len(first))
+    for x in first:
+        second = (n - (desc[x] | anc[x] | anc[z])) | {o.root}
+        h += math.log2(len(second)) / len(first)
+    return h
 
+
+def test_conditional_matches_brute_force(rng):
     for _ in range(25):
         o = random_dag(rng)
         for z in o.ids:
