@@ -1,7 +1,7 @@
 """dagic: DAG ontology entropy, information content, and semantic
 similarity benchmarking."""
 
-from .annotations import AnnotationCorpus, build_corpus, parse_annotations, term_probability
+from .annotations import AnnotationCorpus, build_corpus, parse_annotations
 from .benchmark import (
     BenchmarkReport,
     Bin,
@@ -10,7 +10,7 @@ from .benchmark import (
     rrbs,
     run_benchmark,
 )
-from .dag import Ontology, ancestors, build_ontology, descendants, min_depth
+from .dag import Ontology, build_ontology
 from .metrics import (
     EntropyReport,
     ICTable,
@@ -18,7 +18,6 @@ from .metrics import (
     conditional_entropy_given,
     gic,
     ontology_entropy,
-    ontology_entropy_oracle,
     ric,
     sic,
 )

@@ -56,6 +56,8 @@ def _parse_gaf(stream):
 class AnnotationCorpus:
     ontology: object
     gene_terms: dict            # gene id -> frozenset of term ids (direct, retained)
+    gene_ancestors: dict        # gene id -> sorted term indices: union of the
+                                # reflexive ancestors of its retained terms
     direct_count: np.ndarray    # per term index: genes directly annotated to it
     propagated_count: np.ndarray  # per term index: genes annotating it or a descendant
     total: int                  # genes (or events, see count_events) retained
@@ -96,37 +98,36 @@ def build_corpus(pairs, o, min_depth=0, count_events=False):
     if not by_gene:
         raise EmptyCorpus()
 
-    direct = np.zeros(n, dtype=np.int64)
-    propagated = np.zeros(n, dtype=np.int64)
-    w = o.anc_bits.shape[1]
+    gene_ancestors = {}
+    scratch = np.empty(o.anc_bits.shape[1], dtype=np.uint64)
+    for gene, terms in by_gene.items():
+        scratch[:] = 0
+        for term in terms:
+            scratch |= o.anc_bits[o.index(term)]
+        gene_ancestors[gene] = np.flatnonzero(unpack_row(scratch, n))
 
+    direct = np.zeros(n, dtype=np.int64)
     if count_events:
+        propagated = np.zeros(n, dtype=np.int64)
         for _, term in retained_events:
             i = o.index(term)
             direct[i] += 1
             propagated += unpack_row(o.anc_bits[i], n)
         total = len(retained_events)
     else:
-        scratch = np.empty(w, dtype=np.uint64)
         for terms in by_gene.values():
-            scratch[:] = 0
             for term in terms:
-                i = o.index(term)
-                direct[i] += 1
-                scratch |= o.anc_bits[i]
-            propagated += unpack_row(scratch, n)
+                direct[o.index(term)] += 1
+        propagated = np.bincount(np.concatenate(list(gene_ancestors.values())), minlength=n)
         total = len(by_gene)
 
     return AnnotationCorpus(
         ontology=o,
         gene_terms={g: frozenset(ts) for g, ts in by_gene.items()},
+        gene_ancestors=gene_ancestors,
         direct_count=direct,
         propagated_count=propagated,
         total=total,
         dropped_unknown=dropped_unknown,
         dropped_shallow=dropped_shallow,
     )
-
-
-def term_probability(c, t):
-    return c.term_probability(t)

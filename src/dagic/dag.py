@@ -217,15 +217,3 @@ def build_ontology(terms, edges):
         desc_bits=desc,
         depth=depth,
     )
-
-
-def ancestors(o, term_id):
-    return o.ancestors(term_id)
-
-
-def descendants(o, term_id):
-    return o.descendants(term_id)
-
-
-def min_depth(o, term_id):
-    return o.min_depth(term_id)

@@ -25,7 +25,7 @@ class MultipleRoots(DagicError):
 
 class NoRoot(DagicError):
     def __init__(self):
-        super().__init__("every term has a parent (implies a cycle)")
+        super().__init__("no terms: an ontology needs at least one term, its root")
 
 
 class UnknownTermInEdge(DagicError):
@@ -98,11 +98,6 @@ class EmptyTermSet(DagicError):
 
 
 # --- metrics ---
-
-class TooLargeForOracle(DagicError):
-    def __init__(self, size, cap):
-        super().__init__(f"ontology has {size} terms, oracle cap is {cap}")
-
 
 class DegenerateOntology(DagicError):
     def __init__(self):

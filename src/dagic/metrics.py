@@ -21,9 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dag import popcount_rows, unpack_row
-from .errors import DegenerateOntology, EmptyCorpus, TooLargeForOracle
-
-ORACLE_CAP = 2000
+from .errors import DegenerateOntology, EmptyCorpus
 
 
 @dataclass
@@ -88,21 +86,6 @@ def ontology_entropy(o):
         conditional_bits=np.log2(y_sizes.astype(np.float64)),
         y_sizes=y_sizes,
     )
-
-
-def ontology_entropy_oracle(o, cap=ORACLE_CAP):
-    """Independent check: materialize the full joint distribution
-    p(x, y) = 1/|N| * 1/|Y_x| and evaluate -sum p log2 p directly."""
-    n = len(o)
-    if n > cap:
-        raise TooLargeForOracle(n, cap)
-    bits = 0.0
-    for x in o.ids:
-        y_x = candidate_second_terms(o, x)
-        p = (1.0 / n) * (1.0 / len(y_x))
-        for _ in y_x:
-            bits -= p * np.log2(p)
-    return float(bits)
 
 
 def conditional_entropy_given(o, z):

@@ -31,6 +31,15 @@ def _strip_comment(value):
     return value.strip()
 
 
+def _strip_qualifiers(value):
+    # trailing "{name=value, ...}" modifier block per OBO 1.2, which sits
+    # before any "! comment"
+    brace = value.find("{")
+    if brace >= 0 and value.endswith("}"):
+        value = value[:brace]
+    return value.strip()
+
+
 def parse_obo(stream):
     """Parse [Term] stanzas from an OBO 1.2 text stream into OboTerm records."""
     terms = []
@@ -78,12 +87,12 @@ def parse_obo(stream):
         elif tag == "namespace":
             current.namespace = value
         elif tag == "is_a":
-            target = _strip_comment(value)
+            target = _strip_qualifiers(_strip_comment(value))
             if not target:
                 raise MalformedStanza(lineno, "is_a with no target")
             current.is_a.append(target)
         elif tag == "relationship":
-            parts = _strip_comment(value).split()
+            parts = _strip_qualifiers(_strip_comment(value)).split()
             if len(parts) != 2:
                 raise MalformedStanza(lineno, f"relationship needs 'type target': {value!r}")
             current.relationships.append((parts[0], parts[1]))

@@ -40,22 +40,44 @@ def term_similarity(o, ic, t1, t2):
 
 
 def gene_similarity(o, ic, corpus, g1, g2):
-    """SimMax over all term pairs from the two genes' annotation sets."""
+    """SimMax over all term pairs from the two genes' annotation sets.
+
+    The max over term pairs of the max IC over their common ancestors is
+    the max IC over the intersection of the two genes' ancestor unions
+    (corpus.gene_ancestors), skipping undefined (NaN) terms. best_pair
+    keeps the term-pair rule: among the pairs reaching that max, the
+    smallest (sorted term pair, mica) wins, where a pair's mica is its
+    lexicographically smallest common ancestor with the max value.
+
+    NoDefinedCommonAncestor is raised only when no common term is
+    defined; the root is common to every pair and defined under gic,
+    ric and sic, so with those tables it is never raised.
+    """
     terms1 = _gene_terms(corpus, g1)
     terms2 = _gene_terms(corpus, g2)
 
-    best_val = -1.0
-    best_key = None  # (sorted term pair, mica) for symmetric tie-breaking
-    for ta in terms1:
-        for tb in terms2:
-            val, mica = term_similarity(o, ic, ta, tb)
-            key = (tuple(sorted((ta, tb))), mica)
-            if val > best_val or (val == best_val and key < best_key):
-                best_val = val
-                best_key = key
-    (term_a, term_b), mica = best_key
-    return GenePairSim(gene_a=g1, gene_b=g2, simmax=best_val,
-                       best_pair=(term_a, term_b, mica))
+    common = np.intersect1d(corpus.gene_ancestors[g1], corpus.gene_ancestors[g2],
+                            assume_unique=True)
+    vals = ic.normalized[common]
+    best = np.fmax.reduce(vals, initial=np.nan)  # fmax skips NaN
+    if np.isnan(best):
+        raise NoDefinedCommonAncestor(terms1[0], terms2[0])
+    tied = common[vals == best].tolist()  # ascending index = id order
+
+    # every tied term lies under a term of each gene, so some pair shares
+    # one; pairs and tied terms are scanned in key order, so the first
+    # hit is the smallest (sorted pair, mica)
+    pairs = sorted({tuple(sorted((ta, tb))) for ta in terms1 for tb in terms2})
+    term_a, term_b, mica = next((a, b, t) for a, b in pairs for t in tied
+                                if _under_both(o, a, b, t))
+    return GenePairSim(gene_a=g1, gene_b=g2, simmax=float(ic.normalized[mica]),
+                       best_pair=(term_a, term_b, o.ids[mica]))
+
+
+def _under_both(o, a, b, t):
+    """Whether term index t is a reflexive ancestor of both terms a and b."""
+    word = int(o.anc_bits[o.index(a), t >> 6]) & int(o.anc_bits[o.index(b), t >> 6])
+    return word >> (t & 63) & 1
 
 
 def _gene_terms(corpus, gene):

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from dagic import build_corpus, parse_annotations, term_probability
+from dagic import build_corpus, parse_annotations
 from dagic.errors import EmptyCorpus, MalformedLine, UnknownFormat, UnknownTerm
 
 from conftest import random_dag
@@ -92,10 +92,10 @@ def test_empty_corpus(diamond):
 
 def test_probability_cases(diamond):
     c = build_corpus([("g1", "a")], diamond, min_depth=0)
-    assert term_probability(c, "r") == 1.0
-    assert term_probability(c, "b") == 0.0  # no annotated descendants
+    assert c.term_probability("r") == 1.0
+    assert c.term_probability("b") == 0.0  # no annotated descendants
     with pytest.raises(UnknownTerm):
-        term_probability(c, "nope")
+        c.term_probability("nope")
 
 
 def test_probability_monotone_random(rng):

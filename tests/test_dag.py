@@ -69,6 +69,11 @@ def test_multiple_roots_listed():
     assert err.value.roots == ["r1", "r2"]
 
 
+def test_empty_input():
+    with pytest.raises(NoRoot, match="no terms"):
+        build_ontology([], [])
+
+
 def test_no_root():
     with pytest.raises((NoRoot, CycleDetected)):
         build_ontology(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])

@@ -12,15 +12,15 @@ from dagic import (
     gic,
     load_obo,
     ontology_entropy,
-    ontology_entropy_oracle,
     ric,
     sic,
     to_graph,
 )
-from dagic.errors import DegenerateOntology, TooLargeForOracle, UnknownTerm
+from dagic.errors import DegenerateOntology, UnknownTerm
 from dagic.metrics import conditional_entropies_all
 
 from conftest import chain, random_dag
+from oracles import TooLargeForOracle, ontology_entropy_oracle
 
 
 @pytest.fixture(scope="module")

@@ -77,6 +77,19 @@ def test_relationship_needs_two_tokens():
     assert err.value.line_number == 3
 
 
+@pytest.mark.parametrize("comment", ["", " ! parent"])
+def test_trailing_qualifiers_stripped(comment):
+    text = ("[Term]\nid: X:0\n\n[Term]\nid: X:1\n"
+            f'is_a: X:0 {{source="x"}}{comment}\n'
+            f'relationship: part_of X:0 {{source="y", cardinality="1"}}{comment}\n')
+    child = parse_obo(io.StringIO(text))[1]
+    assert child.is_a == ["X:0"]
+    assert child.relationships == [("part_of", "X:0")]
+    _, edges, dropped = to_graph(parse_obo(io.StringIO(text)), relations={"part_of"})
+    assert edges == [("X:1", "X:0"), ("X:1", "X:0")]
+    assert dropped == 0
+
+
 def test_obsolete_excluded_downstream():
     terms = parse_obo(io.StringIO(MINI))
     ids, edges, dropped = to_graph(terms)

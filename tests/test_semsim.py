@@ -1,10 +1,15 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagic import build_corpus, gene_similarity, gic, ric, sic, term_similarity
-from dagic.errors import EmptyTermSet, UnknownGene
+from dagic.errors import EmptyTermSet, NoDefinedCommonAncestor, UnknownGene
 from dagic.metrics import ICTable
 
 from conftest import random_dag
+from oracles import simmax_oracle
+from test_gic_kernel import build, dags
 
 
 @pytest.fixture
@@ -101,3 +106,71 @@ def test_unknown_gene(diamond, diamond_gic):
     corpus = build_corpus([("g1", "c")], diamond, min_depth=0)
     with pytest.raises(UnknownGene):
         gene_similarity(diamond, diamond_gic, corpus, "g1", "nope")
+
+
+def test_no_defined_common_ancestor(diamond):
+    corpus = build_corpus([("g1", "a"), ("g2", "b")], diamond, min_depth=0)
+    blank = ICTable(metric="ric", ontology=diamond, raw=np.full(4, np.nan),
+                    normalized=np.full(4, np.nan), max_raw=np.nan,
+                    undefined_terms=frozenset(diamond.ids))
+    for fn in (gene_similarity, simmax_oracle):
+        with pytest.raises(NoDefinedCommonAncestor):
+            fn(diamond, blank, corpus, "g1", "g2")
+
+
+# --- SimMax from ancestor unions against the term-pair oracle ---
+
+@st.composite
+def annotated_dags(draw):
+    """A DAG spec plus annotation events: four genes with 1-4 terms each,
+    a fifth gene with the first gene's terms, and a few repeated events
+    (which only event counting sees)."""
+    spec = draw(dags())
+    n = spec[0]
+    sets = [draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4)) for _ in range(4)]
+    sets.append(sets[0])
+    events = [(f"g{g}", i) for g, terms in enumerate(sets) for i in sorted(terms)]
+    events += draw(st.lists(st.sampled_from(events), max_size=3))
+    return spec, events
+
+
+def constant_table(o):
+    flat = np.full(len(o), 0.5)
+    return ICTable(metric="gic", ontology=o, raw=flat, normalized=flat,
+                   max_raw=0.5, undefined_terms=frozenset())
+
+
+def assert_matches_oracle(o, table, corpus):
+    genes = sorted(corpus.gene_terms)
+    for g1 in genes:
+        for g2 in genes:
+            assert gene_similarity(o, table, corpus, g1, g2) == \
+                simmax_oracle(o, table, corpus, g1, g2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(annotated_dags())
+def test_simmax_matches_term_pair_oracle(case):
+    spec, events = case
+    o = build(spec)
+    pairs = [(g, o.ids[i]) for g, i in events]
+    corpus = build_corpus(pairs, o, min_depth=0)
+    for table in (gic(o), ric(o, corpus), sic(o), constant_table(o)):
+        assert_matches_oracle(o, table, corpus)
+
+    by_gene = {}
+    for g, i in events:
+        by_gene.setdefault(g, set()).update(o.ancestors(o.ids[i]))
+    for g, anc in by_gene.items():
+        assert corpus.gene_ancestors[g].tolist() == sorted(o.index(t) for t in anc)
+    # gene-level counts: one per gene whose ancestor union holds the term
+    assert corpus.propagated_count.tolist() == [
+        sum(t in anc for anc in by_gene.values()) for t in o.ids]
+
+    events_corpus = build_corpus(pairs, o, min_depth=0, count_events=True)
+    assert {g: a.tolist() for g, a in events_corpus.gene_ancestors.items()} == \
+        {g: a.tolist() for g, a in corpus.gene_ancestors.items()}
+    # event-level counts: one per event whose term's ancestors hold the term
+    assert events_corpus.propagated_count.tolist() == [
+        sum(t in o.ancestors(o.ids[i]) for _, i in events) for t in o.ids]
+    assert_matches_oracle(o, ric(o, events_corpus), events_corpus)
