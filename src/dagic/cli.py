@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 from . import annotations, benchmark, metrics, obo, semsim
 from .dag import build_ontology
-from .errors import DagicError, MissingCorpus
+from .errors import DagicError, MissingCorpus, MissingInput
 
 ENV_PREFIX = "DAGIC_"
 
@@ -38,7 +38,6 @@ class RunConfig:
     pairs_path: str = None
     bitscores_path: str = None
     y_sizes_out: str = None
-    plot_data: bool = False
 
     def echo(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -156,9 +155,11 @@ def cmd_ic(cfg, out=sys.stdout):
 
 
 def cmd_semsim(cfg, out=sys.stdout):
-    o = _load_ontology(cfg)
     if not cfg.corpus_path:
-        raise MissingCorpus()
+        raise MissingInput("semsim", "an annotation corpus", "--corpus")
+    if not cfg.pairs_path:
+        raise MissingInput("semsim", "a gene-pair file", "--pairs")
+    o = _load_ontology(cfg)
     corpus = _load_corpus(cfg, o)
     table = _ic_table(cfg, o)
     with open(cfg.pairs_path, encoding="utf-8") as fh:
@@ -186,9 +187,11 @@ def _benchmark_pairs(scores, corpus):
 
 
 def cmd_benchmark(cfg, out=sys.stdout):
-    o = _load_ontology(cfg)
     if not cfg.corpus_path:
-        raise MissingCorpus()
+        raise MissingInput("benchmark", "an annotation corpus", "--corpus")
+    if not cfg.bitscores_path:
+        raise MissingInput("benchmark", "a bit-score file", "--bitscores")
+    o = _load_ontology(cfg)
     corpus = _load_corpus(cfg, o)
     table = _ic_table(cfg, o)
     with open(cfg.bitscores_path, encoding="utf-8") as fh:
@@ -223,11 +226,6 @@ def cmd_benchmark(cfg, out=sys.stdout):
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-    if cfg.plot_data:
-        with open(os.path.join(cfg.out_dir, "plot_data.tsv"), "w", encoding="utf-8") as fh:
-            for b in report.bins:
-                fh.write(f"{b.mean_rrbs:.6f}\t{b.mean_simmax:.6f}\n")
 
     out.write(f"wrote {bins_path} and {summary_path}\n")
     return 0
@@ -282,9 +280,6 @@ def build_parser():
     p_bench.add_argument("--regress-on-pairs", dest="regress_on_pairs",
                          action="store_const", const=True,
                          help="fit raw pairs instead of bin means")
-    p_bench.add_argument("--plot-data", dest="plot_data",
-                         action="store_const", const=True,
-                         help="also write plot_data.tsv (mean_rrbs, mean_simmax)")
     p_bench.add_argument("--out-dir", dest="out_dir")
 
     return parser

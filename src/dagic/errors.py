@@ -143,3 +143,8 @@ class DegenerateRegression(DagicError):
 class MissingCorpus(DagicError):
     def __init__(self):
         super().__init__("metric 'ric' requires an annotation corpus (--corpus)")
+
+
+class MissingInput(DagicError):
+    def __init__(self, command, what, flag):
+        super().__init__(f"'{command}' requires {what} ({flag})")

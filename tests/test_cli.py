@@ -174,10 +174,30 @@ def test_benchmark_bins_csv_shape(tmp_path):
     assert len(lines) == 1 + json.load(open(tmp_path / "summary.json"))["bins"]
 
 
-def test_benchmark_plot_data(tmp_path):
-    _run_benchmark(tmp_path, "--plot-data")
-    lines = (tmp_path / "plot_data.tsv").read_text().splitlines()
-    assert all(len(line.split("\t")) == 2 for line in lines)
+def test_benchmark_plot_data_rejected(tmp_path):
+    # plot_data.tsv repeated two columns of bins.csv and is gone
+    result = _run_benchmark(tmp_path / "flag", "--plot-data")
+    assert result.returncode == 2
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("plot_data = true\n")
+    result = _run_benchmark(tmp_path / "cfg", config=cfg_file)
+    assert result.returncode == 2
+    assert "unknown config key 'plot_data'" in result.stderr
+
+
+@pytest.mark.parametrize("command, given, flag", [
+    ("semsim", ("--corpus", CORPUS), "--pairs"),
+    ("benchmark", ("--corpus", CORPUS), "--bitscores"),
+    ("semsim", ("--pairs", CORPUS), "--corpus"),
+    ("benchmark", ("--bitscores", SCORES), "--corpus"),
+])
+def test_missing_input_path_exit_2(command, given, flag):
+    result = run_cli(command, "--obo", OBO, "--namespace", "molecular_function",
+                     "--metric", "gic", *given)
+    assert result.returncode == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert f"'{command}' requires" in lines[0] and flag in lines[0]
 
 
 def test_benchmark_too_few_bins(tmp_path):
