@@ -11,59 +11,88 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from . import annotations, benchmark, metrics, obo, semsim
 from .dag import build_ontology
-from .errors import DagicError, MissingCorpus, MissingInput
+from .errors import DagicError, MissingInput
 
 ENV_PREFIX = "DAGIC_"
+_ALL = ("entropy", "ic", "semsim", "benchmark")
+_CORPUS = ("ic", "semsim", "benchmark")
+
+
+def _option(default, flag, help, commands=_ALL, **checks):
+    """A RunConfig field: its default, flag, help text and the subcommands
+    that accept the flag. `checks` may add `choices`, a `minimum`, and
+    `required_by`, which maps each subcommand that needs the value to the
+    other field values under which it does ({} for always)."""
+    return field(default=default,
+                 metadata=dict(flag=flag, help=help, commands=commands, **checks))
 
 
 @dataclass
 class RunConfig:
-    obo_path: str = None
-    namespace: str = None
-    relations: str = ""           # comma-separated relation types beyond is_a
-    corpus_path: str = None
-    corpus_format: str = "tsv"
-    min_depth: int = 2
-    metric: str = "gic"
-    bin_size: int = 1000
-    include_identical: bool = False
-    count_events: bool = False
-    regress_on_pairs: bool = False
-    workers: int = 1
-    out_dir: str = "."
-    pairs_path: str = None
-    bitscores_path: str = None
-    y_sizes_out: str = None
+    """Every option of the CLI. A field's name is its config-file key and,
+    upper-cased after DAGIC_, its environment variable."""
+    obo_path: str = _option(None, "--obo", "OBO 1.2 ontology file",
+                            required_by=dict.fromkeys(_ALL, {}))
+    namespace: str = _option(None, "--namespace", "keep only terms in this namespace")
+    relations: str = _option("", "--relations",
+                             "comma-separated relation types to follow besides is_a")
+    corpus_path: str = _option(None, "--corpus", "annotation file", _CORPUS,
+                               required_by={"ic": {"metric": "ric"},
+                                            "semsim": {}, "benchmark": {}})
+    corpus_format: str = _option("tsv", "--corpus-format", "annotation file format",
+                                 _CORPUS, choices=("tsv", "gaf"))
+    min_depth: int = _option(2, "--min-depth",
+                             "drop direct annotations shallower than this", _CORPUS)
+    metric: str = _option("gic", "--metric", "information-content metric", _CORPUS,
+                          choices=("gic", "ric", "sic"))
+    bin_size: int = _option(1000, "--bin-size", "pairs per bin", ("benchmark",), minimum=1)
+    include_identical: bool = _option(False, "--include-identical",
+                                      "keep RRBS=1 pairs in the regression", ("benchmark",))
+    count_events: bool = _option(False, "--count-events",
+                                 "count annotation events instead of genes", _CORPUS)
+    regress_on_pairs: bool = _option(False, "--regress-on-pairs",
+                                     "fit raw pairs instead of bin means", ("benchmark",))
+    workers: int = _option(1, "--workers", "worker threads for all-terms gIC", minimum=1)
+    out_dir: str = _option(".", "--out-dir", "directory for bins.csv and summary.json",
+                           ("benchmark",))
+    pairs_path: str = _option(None, "--pairs", "TSV of gene_a<TAB>gene_b rows", ("semsim",),
+                              required_by={"semsim": {}})
+    bitscores_path: str = _option(None, "--bitscores",
+                                  "TSV of a<TAB>b<TAB>bitscore rows (self rows required)",
+                                  ("benchmark",), required_by={"benchmark": {}})
+    y_sizes_out: str = _option(None, "--y-sizes-out",
+                               "write per-term second-choice set sizes to this TSV",
+                               ("entropy",))
 
-    def echo(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-
-# fields that count something and are meaningless below 1
-_AT_LEAST_ONE = ("bin_size", "workers")
-
-
-def _parse_value(name, text):
-    """Typed value of a config field from its env or config-file text."""
-    kind = RunConfig.__dataclass_fields__[name].type
-    text = text.strip()
-    if kind is bool:
-        word = text.lower()
+def _parse_value(name, value):
+    """Typed and checked value of a config field. Text from the environment
+    or a config file is converted to the field's type first."""
+    spec = RunConfig.__dataclass_fields__[name]
+    kind, checks = spec.type, spec.metadata
+    if isinstance(value, str) and kind is bool:
+        word = value.lower()
         if word in ("1", "true", "yes", "on"):
-            return True
-        if word in ("0", "false", "no", "off"):
-            return False
-        raise DagicError(f"{name}: expected true or false, got {text!r}")
-    if kind is int:
+            value = True
+        elif word in ("0", "false", "no", "off"):
+            value = False
+        else:
+            raise DagicError(f"{name}: expected true or false, got {value!r}")
+    elif isinstance(value, str) and kind is int:
         try:
-            return int(text)
+            value = int(value)
         except ValueError:
-            raise DagicError(f"{name}: expected an integer, got {text!r}") from None
-    return text
+            raise DagicError(f"{name}: expected an integer, got {value!r}") from None
+    if "choices" in checks and value not in checks["choices"]:
+        raise DagicError(f"{name}: expected one of {', '.join(checks['choices'])}, "
+                         f"got {value!r}")
+    if "minimum" in checks and value < checks["minimum"]:
+        raise DagicError(f"{name} must be at least {checks['minimum']}, got {value}")
+    return value
 
 
 def _read_config_file(path):
@@ -80,27 +109,32 @@ def _read_config_file(path):
             if key not in RunConfig.__dataclass_fields__:
                 raise DagicError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                values[key] = _parse_value(key, value)
+                values[key] = _parse_value(key, value.strip())
             except DagicError as exc:
                 raise DagicError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
 def resolve_config(args):
-    cfg = RunConfig()
-    file_values = _read_config_file(args.config) if args.config else {}
+    """RunConfig from flags > DAGIC_* variables > config file > defaults.
+    Every value given passes `_parse_value` before any input is read."""
+    values = _read_config_file(args.config) if args.config else {}
     for f in fields(RunConfig):
         env_key = ENV_PREFIX + f.name.upper()
         if getattr(args, f.name, None) is not None:
-            setattr(cfg, f.name, getattr(args, f.name))
+            values[f.name] = _parse_value(f.name, getattr(args, f.name))
         elif env_key in os.environ:
-            setattr(cfg, f.name, _parse_value(f.name, os.environ[env_key]))
-        elif f.name in file_values:
-            setattr(cfg, f.name, file_values[f.name])
-    for name in _AT_LEAST_ONE:
-        if getattr(cfg, name) < 1:
-            raise DagicError(f"{name} must be at least 1, got {getattr(cfg, name)}")
-    return cfg
+            values[f.name] = _parse_value(f.name, os.environ[env_key].strip())
+    return RunConfig(**values)
+
+
+def _require_inputs(command, cfg):
+    """MissingInput for the first input file `command` needs that `cfg` lacks."""
+    for f in fields(cfg):
+        when = f.metadata.get("required_by", {}).get(command)
+        if (when is not None and not getattr(cfg, f.name)
+                and all(getattr(cfg, k) == v for k, v in when.items())):
+            raise MissingInput(command, f.metadata["flag"], f.metadata["help"], when)
 
 
 def _load_ontology(cfg):
@@ -123,14 +157,11 @@ def _ic_table(cfg, o):
         return metrics.gic(o, workers=cfg.workers)
     if cfg.metric == "sic":
         return metrics.sic(o)
-    if cfg.metric == "ric":
-        if not cfg.corpus_path:
-            raise MissingCorpus()
-        return metrics.ric(o, _load_corpus(cfg, o))
-    raise DagicError(f"unknown metric {cfg.metric!r}")
+    return metrics.ric(o, _load_corpus(cfg, o))
 
 
-def cmd_entropy(cfg, out=sys.stdout):
+def cmd_entropy(cfg, out):
+    """ontology entropy in bits"""
     o = _load_ontology(cfg)
     report = metrics.ontology_entropy(o)
     out.write(f"H(M) = {report.total_bits:.6f} bits\n")
@@ -143,7 +174,8 @@ def cmd_entropy(cfg, out=sys.stdout):
     return 0
 
 
-def cmd_ic(cfg, out=sys.stdout):
+def cmd_ic(cfg, out):
+    """per-term IC table (TSV to stdout)"""
     o = _load_ontology(cfg)
     table = _ic_table(cfg, o)
     for term in o.ids:  # already lexicographic
@@ -154,11 +186,8 @@ def cmd_ic(cfg, out=sys.stdout):
     return 0
 
 
-def cmd_semsim(cfg, out=sys.stdout):
-    if not cfg.corpus_path:
-        raise MissingInput("semsim", "an annotation corpus", "--corpus")
-    if not cfg.pairs_path:
-        raise MissingInput("semsim", "a gene-pair file", "--pairs")
+def cmd_semsim(cfg, out):
+    """SimMax for gene pairs"""
     o = _load_ontology(cfg)
     corpus = _load_corpus(cfg, o)
     table = _ic_table(cfg, o)
@@ -186,11 +215,8 @@ def _benchmark_pairs(scores, corpus):
     return usable, skipped
 
 
-def cmd_benchmark(cfg, out=sys.stdout):
-    if not cfg.corpus_path:
-        raise MissingInput("benchmark", "an annotation corpus", "--corpus")
-    if not cfg.bitscores_path:
-        raise MissingInput("benchmark", "a bit-score file", "--bitscores")
+def cmd_benchmark(cfg, out):
+    """RRBS vs SimMax benchmark"""
     o = _load_ontology(cfg)
     corpus = _load_corpus(cfg, o)
     table = _ic_table(cfg, o)
@@ -221,7 +247,7 @@ def cmd_benchmark(cfg, out=sys.stdout):
     for key in ("range", "min", "max", "r2"):
         summary[key] = float(f"{summary[key]:.6f}")
     summary["skipped_pairs"] = skipped
-    summary["config"] = cfg.echo()
+    summary["config"] = asdict(cfg)
     summary_path = os.path.join(cfg.out_dir, "summary.json")
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -229,60 +255,6 @@ def cmd_benchmark(cfg, out=sys.stdout):
 
     out.write(f"wrote {bins_path} and {summary_path}\n")
     return 0
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="dagic",
-        description="Ontology entropy, information content, semantic "
-                    "similarity, and sequence-similarity benchmarking.")
-    parser.add_argument("--config", help="flat key = value config file")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, corpus=False):
-        p.add_argument("--obo", dest="obo_path", help="OBO 1.2 ontology file")
-        p.add_argument("--namespace", help="keep only terms in this namespace")
-        p.add_argument("--relations",
-                       help="comma-separated relation types to follow besides is_a")
-        p.add_argument("--workers", type=int, help="worker threads for all-terms gIC")
-        if corpus:
-            p.add_argument("--corpus", dest="corpus_path", help="annotation file")
-            p.add_argument("--corpus-format", dest="corpus_format",
-                           choices=["tsv", "gaf"])
-            p.add_argument("--min-depth", dest="min_depth", type=int,
-                           help="drop direct annotations shallower than this (default 2)")
-            p.add_argument("--count-events", dest="count_events",
-                           action="store_const", const=True,
-                           help="count annotation events instead of genes")
-            p.add_argument("--metric", choices=["gic", "ric", "sic"])
-
-    p_entropy = sub.add_parser("entropy", help="ontology entropy in bits")
-    common(p_entropy)
-    p_entropy.add_argument("--y-sizes-out", dest="y_sizes_out",
-                           help="write per-term second-choice set sizes to this TSV")
-
-    p_ic = sub.add_parser("ic", help="per-term IC table (TSV to stdout)")
-    common(p_ic, corpus=True)
-
-    p_semsim = sub.add_parser("semsim", help="SimMax for gene pairs")
-    common(p_semsim, corpus=True)
-    p_semsim.add_argument("--pairs", dest="pairs_path",
-                          help="TSV of gene_a<TAB>gene_b rows")
-
-    p_bench = sub.add_parser("benchmark", help="RRBS vs SimMax benchmark")
-    common(p_bench, corpus=True)
-    p_bench.add_argument("--bitscores", dest="bitscores_path",
-                         help="TSV of a<TAB>b<TAB>bitscore rows (self rows required)")
-    p_bench.add_argument("--bin-size", dest="bin_size", type=int)
-    p_bench.add_argument("--include-identical", dest="include_identical",
-                         action="store_const", const=True,
-                         help="keep RRBS=1 pairs in the regression")
-    p_bench.add_argument("--regress-on-pairs", dest="regress_on_pairs",
-                         action="store_const", const=True,
-                         help="fit raw pairs instead of bin means")
-    p_bench.add_argument("--out-dir", dest="out_dir")
-
-    return parser
 
 
 COMMANDS = {
@@ -293,14 +265,36 @@ COMMANDS = {
 }
 
 
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="dagic",
+        description="Ontology entropy, information content, semantic "
+                    "similarity, and sequence-similarity benchmarking.")
+    parser.add_argument("--config", help="flat key = value config file")
+    sub = parser.add_subparsers(dest="command", required=True)
+    commands = {name: sub.add_parser(name, help=fn.__doc__) for name, fn in COMMANDS.items()}
+    for f in fields(RunConfig):
+        meta = f.metadata
+        kwargs = {"dest": f.name, "help": meta["help"]}
+        if f.default:
+            kwargs["help"] += f" (default {f.default})"
+        if f.type is bool:
+            kwargs.update(action="store_const", const=True)
+        elif f.type is int:
+            kwargs["type"] = int
+        if "choices" in meta:
+            kwargs["metavar"] = "{" + ",".join(meta["choices"]) + "}"
+        for name in meta["commands"]:
+            commands[name].add_argument(meta["flag"], **kwargs)
+    return parser
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        if not cfg.obo_path:
-            parser.error("--obo is required")
-        return COMMANDS[args.command](cfg)
+        _require_inputs(args.command, cfg)
+        return COMMANDS[args.command](cfg, sys.stdout)
     except DagicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -140,11 +140,7 @@ class DegenerateRegression(DagicError):
 
 # --- cli ---
 
-class MissingCorpus(DagicError):
-    def __init__(self):
-        super().__init__("metric 'ric' requires an annotation corpus (--corpus)")
-
-
 class MissingInput(DagicError):
-    def __init__(self, command, what, flag):
-        super().__init__(f"'{command}' requires {what} ({flag})")
+    def __init__(self, command, flag, what, when):
+        given = "".join(f" with {key} {value!r}" for key, value in when.items())
+        super().__init__(f"'{command}'{given} requires {flag} ({what})")

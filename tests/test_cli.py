@@ -1,9 +1,16 @@
+import argparse
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
+
+from dagic import cli
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 OBO = os.path.join(DATA, "go_subset.obo")
@@ -49,6 +56,23 @@ def run_cli(*args, env_extra=None):
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "dagic.cli", *args],
                           capture_output=True, text=True, env=env)
+
+
+def run_in_process(argv, monkeypatch, env=None):
+    """Exit code, stdout and stderr of `cli.main(argv)` with only `env` set
+    among the DAGIC_* variables."""
+    for key in list(os.environ):
+        if key.startswith(cli.ENV_PREFIX):
+            monkeypatch.delenv(key)
+    for key, value in (env or {}).items():
+        monkeypatch.setenv(key, value)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture
@@ -115,7 +139,18 @@ def test_ic_sic_root_zero(diamond_obo):
 def test_ic_ric_requires_corpus(diamond_obo):
     result = run_cli("ic", "--obo", diamond_obo, "--metric", "ric")
     assert result.returncode == 2
-    assert "corpus" in result.stderr
+    assert result.stderr == ("error: 'ic' with metric 'ric' requires --corpus "
+                             "(annotation file)\n")
+
+
+def test_in_process_output_is_captured(diamond_obo, monkeypatch):
+    code, out, _ = run_in_process(["entropy", "--obo", diamond_obo], monkeypatch)
+    assert code == 0
+    assert out == "H(M) = 2.500000 bits\nterms = 4\nedges = 4\n"
+    code, out, _ = run_in_process(["ic", "--obo", diamond_obo, "--metric", "gic"],
+                                  monkeypatch)
+    assert code == 0
+    assert out.splitlines()[1] == "X:1\t0.366015\t0.366015"
 
 
 def test_ic_ric_na_rows(diamond_obo, tmp_path):
@@ -198,6 +233,13 @@ def test_missing_input_path_exit_2(command, given, flag):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
     assert f"'{command}' requires" in lines[0] and flag in lines[0]
+
+
+@pytest.mark.parametrize("command", ["entropy", "ic", "semsim", "benchmark"])
+def test_missing_obo_exit_2(command, monkeypatch):
+    code, _, err = run_in_process([command], monkeypatch)
+    assert code == 2
+    assert err == f"error: '{command}' requires --obo (OBO 1.2 ontology file)\n"
 
 
 def test_benchmark_too_few_bins(tmp_path):
@@ -331,3 +373,107 @@ def test_range_checks_exit_2(tmp_path, extra, env, config):
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
     assert "at least 1" in lines[0]
     assert not (tmp_path / "out").exists()
+
+
+# --- one option table: every source checked alike, before any input is read ---
+
+@pytest.mark.parametrize("name, flag_args, text", [
+    ("metric", ["--metric", "bogus"], "bogus"),
+    ("corpus_format", ["--corpus-format", "xml"], "xml"),
+    ("bin_size", ["--bin-size", "0"], "0"),
+    ("workers", ["--workers", "0"], "0"),
+    ("min_depth", ["--min-depth", "two"], "two"),
+    ("count_events", ["--count-events", "maybe"], "maybe"),
+])
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_bad_value_exit_2_from_every_source(tmp_path, monkeypatch, source,
+                                            name, flag_args, text):
+    missing = str(tmp_path / "nonexistent")
+    out_dir = tmp_path / "out"
+    argv = ["benchmark", "--obo", missing + ".obo", "--corpus", missing + ".tsv",
+            "--bitscores", missing + ".scores", "--out-dir", str(out_dir)]
+    env = {}
+    cfg_file = tmp_path / "run.cfg"
+    if source == "flag":
+        argv += flag_args
+    elif source == "env":
+        env[cli.ENV_PREFIX + name.upper()] = text
+    else:
+        cfg_file.write_text(f"# a bad value on line 2\n{name} = {text}\n")
+        argv = ["--config", str(cfg_file)] + argv
+    code, _, err = run_in_process(argv, monkeypatch, env)
+    assert code == 2, err  # 1 would mean an input file was opened first
+    assert sum("error:" in line for line in err.splitlines()) == 1, err
+    if source == "config":
+        assert err.startswith(f"error: {cfg_file}:2: "), err
+    assert not out_dir.exists()
+
+
+# The parser's surface before it was generated from RunConfig:
+# option string -> (config key, value kind, default).
+_COMMON = {
+    "--obo": ("obo_path", "str", None),
+    "--namespace": ("namespace", "str", None),
+    "--relations": ("relations", "str", ""),
+    "--workers": ("workers", "int", 1),
+}
+_CORPUS = {
+    **_COMMON,
+    "--corpus": ("corpus_path", "str", None),
+    "--corpus-format": ("corpus_format", "str", "tsv"),
+    "--min-depth": ("min_depth", "int", 2),
+    "--count-events": ("count_events", "flag", False),
+    "--metric": ("metric", "str", "gic"),
+}
+SURFACE = {
+    "entropy": {**_COMMON, "--y-sizes-out": ("y_sizes_out", "str", None)},
+    "ic": _CORPUS,
+    "semsim": {**_CORPUS, "--pairs": ("pairs_path", "str", None)},
+    "benchmark": {
+        **_CORPUS,
+        "--bitscores": ("bitscores_path", "str", None),
+        "--bin-size": ("bin_size", "int", 1000),
+        "--include-identical": ("include_identical", "flag", False),
+        "--regress-on-pairs": ("regress_on_pairs", "flag", False),
+        "--out-dir": ("out_dir", "str", "."),
+    },
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = cli.build_parser()
+    top = [a.option_strings for a in parser._actions if a.option_strings]
+    assert top == [["-h", "--help"], ["--config"]]
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(SURFACE)
+    defaults = cli.RunConfig()
+    for command, p in sub.choices.items():
+        got = {}
+        for action in p._actions:
+            if action.dest == "help":
+                continue
+            kind = "flag" if action.nargs == 0 else getattr(action.type, "__name__", "str")
+            for flag in action.option_strings:
+                got[flag] = (action.dest, kind, getattr(defaults, action.dest))
+        assert got == SURFACE[command], command
+    checks = {(f.name, key): f.metadata[key] for f in fields(cli.RunConfig)
+              for key in ("choices", "minimum") if key in f.metadata}
+    assert checks == {("corpus_format", "choices"): ("tsv", "gaf"),
+                      ("metric", "choices"): ("gic", "ric", "sic"),
+                      ("bin_size", "minimum"): 1, ("workers", "minimum"): 1}
+
+
+def test_readme_option_table_lists_every_field():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        rows = [line for line in fh if line.startswith("| `--")]
+    by_flag = {re.match(r"\| `(--[a-z-]+)`", row).group(1): row for row in rows}
+    options = fields(cli.RunConfig)
+    assert len(rows) == len(by_flag) == len(options)
+    for f in options:
+        row = by_flag[f.metadata["flag"]]
+        cells = [cell.strip() for cell in row.strip().strip("|").split("|")]
+        default = ("—" if f.default is None else "`false`" if f.default is False
+                   else f"`{f.default}`" if f.default != "" else '`""`')
+        assert cells[1:4] == [f"`{f.name}`", f"`DAGIC_{f.name.upper()}`", default], row
+        assert cells[4] == ", ".join(f.metadata["commands"]), row

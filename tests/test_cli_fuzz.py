@@ -2,10 +2,16 @@
 a random subcommand and random optional flags, with input paths left
 out at random. Whatever the input, `dagic` ends with exit code 0, 1 or
 2 (or argparse's SystemExit(2)) and never with a traceback.
+
+Random text rarely makes a whole `semsim` or `benchmark` run, so a second
+strategy builds well-formed inputs and checks that most such runs exit 0
+with outputs that parse.
 """
 
 import contextlib
+import csv
 import io
+import json
 import os
 import tempfile
 
@@ -147,3 +153,93 @@ def test_cli_ends_in_exit_code_never_traceback(inv, obo, corpus, pairs, bitscore
                 assert exc.code == 2, argv
             else:
                 assert code in (0, 1, 2), argv
+
+
+@st.composite
+def valid_run(draw):
+    """A `semsim` or `benchmark` run that should succeed: a layered OBO
+    with no noise, genes annotated only at depth >= min_depth, self and
+    reciprocal bit scores for every gene pair (each pair's RRBS below 1),
+    and a bin size that leaves at least two bins."""
+    levels = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    by_level, terms = [["X:0"]], ["[Term]\nid: X:0\nname: n\nnamespace: a\n"]
+    for size in levels:
+        row = []
+        for _ in range(size):
+            term = f"X:{sum(map(len, by_level)) + len(row)}"
+            parents = draw(st.sets(st.sampled_from(by_level[-1]), min_size=1, max_size=2))
+            terms.append(f"[Term]\nid: {term}\nname: n\nnamespace: a\n"
+                         + text(f"is_a: {p}" for p in sorted(parents)))
+            row.append(term)
+        by_level.append(row)
+    min_depth = draw(st.integers(0, len(levels)))
+    deep = [t for row in by_level[min_depth:] for t in row]
+    genes = [f"g{i}" for i in range(draw(st.integers(4, 7)))]
+    corpus = [f"{g}\t{t}" for g in genes
+              for t in draw(st.lists(st.sampled_from(deep), min_size=1, max_size=3))]
+    pairs = [(a, b) for i, a in enumerate(genes) for b in genes[i + 1:]]
+    self_score = {g: draw(st.integers(50, 500)) for g in genes}
+    scores = [f"{g}\t{g}\t{s}" for g, s in self_score.items()]
+    for a, b in pairs:
+        top = min(self_score[a], self_score[b]) - 1
+        scores += [f"{a}\t{b}\t{draw(st.integers(1, top))}",
+                   f"{b}\t{a}\t{draw(st.integers(1, top))}"]
+    command = draw(st.sampled_from(["semsim", "benchmark"]))
+    flags = ["--metric", draw(st.sampled_from(["gic", "ric", "sic"])),
+             "--min-depth", str(min_depth), "--workers", str(draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        flags.append("--count-events")
+    if command == "benchmark":
+        flags += ["--bin-size", str(draw(st.integers(1, len(pairs) // 2)))]
+        if draw(st.booleans()):
+            flags.append("--regress-on-pairs")
+    files = {"obo": "\n".join(terms), "corpus": text(corpus),
+             "pairs": text("\t".join(p) for p in pairs), "bitscores": text(scores)}
+    return command, flags, files, len(pairs)
+
+
+def test_valid_runs_mostly_succeed():
+    codes = {"semsim": [], "benchmark": []}
+
+    @settings(max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(valid_run())
+    def run(case):
+        command, flags, files, n_pairs = case
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for name, body in files.items():
+                paths[name] = os.path.join(tmp, name)
+                with open(paths[name], "w", encoding="utf-8") as fh:
+                    fh.write(body)
+            out_dir = os.path.join(tmp, "out")
+            argv = [command, *flags, "--obo", paths["obo"], "--corpus", paths["corpus"]]
+            if command == "semsim":
+                argv += ["--pairs", paths["pairs"]]
+            else:
+                argv += ["--bitscores", paths["bitscores"], "--out-dir", out_dir]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+            codes[command].append(code)
+            assert code in (0, 2), (argv, stderr.getvalue())
+            if code:
+                return
+            if command == "semsim":
+                rows = [line.split("\t") for line in stdout.getvalue().splitlines()]
+                assert len(rows) == n_pairs
+                assert all(len(r) == 6 and 0 <= float(r[2]) <= 1 for r in rows)
+                return
+            with open(os.path.join(out_dir, "summary.json"), encoding="utf-8") as fh:
+                summary = json.load(fh)
+            with open(os.path.join(out_dir, "bins.csv"), encoding="utf-8") as fh:
+                bins = list(csv.DictReader(fh))
+            assert summary["bins"] == len(bins) >= 2
+            assert sum(int(b["count"]) for b in bins) == n_pairs
+            assert summary["skipped_pairs"] == 0 and summary["excluded_identical"] == 0
+
+    run()
+    # the rest end in exit 2, mostly DegenerateRegression when every pair
+    # draws the same RRBS (hypothesis favours equal minimal scores)
+    for command, got in codes.items():
+        assert got.count(0) >= 0.75 * len(got) > 0, (command, got)
