@@ -178,11 +178,13 @@ def cmd_ic(cfg, out):
     """per-term IC table (TSV to stdout)"""
     o = _load_ontology(cfg)
     table = _ic_table(cfg, o)
-    for term in o.ids:  # already lexicographic
-        if table.is_defined(term):
-            out.write(f"{term}\t{table.raw_of(term):.6f}\t{table.normalized_of(term):.6f}\n")
-        else:
+    undefined = table.undefined_terms
+    # o.ids is already lexicographic
+    for term, raw, normalized in zip(o.ids, table.raw.tolist(), table.normalized.tolist()):
+        if term in undefined:
             out.write(f"{term}\tNA\tNA\n")
+        else:
+            out.write(f"{term}\t{raw:.6f}\t{normalized:.6f}\n")
     return 0
 
 

@@ -68,22 +68,22 @@ def candidate_second_terms(o, x):
     return frozenset(o.ids[j] for j in np.flatnonzero(mask))
 
 
-def _joint_bits(first_count, y_sizes):
+def _joint_bits(first_count, conditional_sum):
     # a uniform first draw over first_count terms, then a uniform second
-    # draw over y_sizes[x] terms (sizes of 1 add 0 bits); one shared
-    # formula keeps H(.|root) and H bit-identical
-    conditional = np.log2(y_sizes.astype(np.float64))
-    return float(np.log2(first_count)) + float(conditional.sum()) / first_count
+    # draw whose log2 sizes sum to conditional_sum (sizes of 1 add 0
+    # bits); one shared formula keeps H(.|root) and H bit-identical
+    return np.log2(first_count) + conditional_sum / first_count
 
 
 def ontology_entropy(o):
     """Two-term annotation entropy of the ontology, in bits."""
     n = len(o)
     y_sizes = _second_term_counts(o)
+    conditional = np.log2(y_sizes.astype(np.float64))
     return EntropyReport(
-        total_bits=_joint_bits(n, y_sizes),
+        total_bits=float(_joint_bits(n, conditional.sum())),
         first_term_entropy=float(np.log2(n)),
-        conditional_bits=np.log2(y_sizes.astype(np.float64)),
+        conditional_bits=conditional,
         y_sizes=y_sizes,
     )
 
@@ -93,27 +93,52 @@ def conditional_entropy_given(o, z):
     term ranges over X_z = (N \\ anc(z)) | {root}, the second over
     Y_xz = (N \\ (desc(x) | anc(x) | anc(z))) | {root}."""
     zi = o.index(z)
-    shared = popcount_rows(o.anc_bits & o.anc_bits[zi])
-    return _entropy_given(o, zi, shared, _second_term_counts(o))
+    t = _second_term_counts(o) + popcount_rows(o.anc_bits & o.anc_bits[zi])
+    return float(_entropy_rows(o, [zi], t[None, :], _log2_table(len(o)))[0])
 
 
-def _entropy_given(o, zi, shared, y_base):
-    """H(X_z, Y_xz | z) from shared[x] = |anc(x) & anc(z)| and y_base = |Y_x|.
+def _log2_table(n):
+    """log2 of every |Y_xz| a row can hold, at index |Y_xz| - (2 - n).
 
-    For x outside anc(z), desc(x) and anc(z) are disjoint (a descendant
-    of x above z would put x above z), so
-    |Y_xz| = |Y_x| - |anc(z)| + |anc(x) & anc(z)|. The terms of anc(z),
-    recognized by anc(x) being inside anc(z), leave X_z; the root, which
-    is re-admitted, has Y_root,z = {root} and adds log2(1) = 0.
+    |Y_x| = n + 1 - |anc(x)| - |desc(x)| lies in [1, n + 1 - |anc(x)|]
+    and 1 <= S_z[x] <= |anc(x)|, so |Y_x| - |anc(z)| + S_z[x] lies in
+    [2 - n, n]. Values below 1 occur only for x in anc(z), whose entries
+    are zeroed anyway; the table holds 0 there.
     """
-    a = int(o.anc_counts[zi])
-    y = y_base - a + shared
-    y[shared == o.anc_counts] = 1
-    return _joint_bits(len(o) - a + 1, y)
+    tab = np.zeros(2 * n - 1)
+    tab[n - 1:] = np.log2(np.arange(1, n + 1, dtype=np.float64))
+    return tab
 
 
-# rows summed per uint8 reduce: a byte lane holds at most 255 (a uint8
-# reduce runs about twice as fast as a uint16 one, so blocks stay small)
+def _entropy_rows(o, zs, t, tab, logs=None):
+    """H(X_z, Y_xz | z) for each z in zs from t[i] = |Y_x| + S_z[x].
+
+    t is an intp array and is overwritten; logs, if given, is float64
+    scratch of t's shape.
+
+    S_z[x] = |anc(x) & anc(z)|. For x outside anc(z), desc(x) and anc(z)
+    are disjoint (a descendant of x above z would put x above z), so
+    |Y_xz| = |Y_x| - |anc(z)| + S_z[x]: one shift of t, looked up in
+    tab. The terms of anc(z) leave X_z; the root, which is re-admitted,
+    has Y_root,z = {root} and adds log2(1) = 0, so every ancestor's
+    entry is zeroed. Each row is summed alone, in the order of a 1-D
+    sum, so a term's value does not depend on the rows beside it.
+    """
+    n = len(o)
+    a = o.anc_counts[zs]
+    t -= (a + 2 - n)[:, None]
+    # every index is in range; mode="raise" would buffer the whole output
+    logs = tab.take(t, out=logs, mode="clip")
+    anc = np.unpackbits(o.anc_bits[zs].view(np.uint8), axis=1, bitorder="little")
+    np.copyto(logs, 0.0, where=anc[:, :n].view(bool))
+    return _joint_bits(n - a + 1, logs.sum(axis=1))
+
+
+# a block of the walk holds at most _BLOCK_CELLS // n terms (at least
+# one), so its n-wide T and log2 rows stay a few hundred KiB
+_BLOCK_CELLS = 2**15
+# new-ancestor rows per block and per uint8 reduce: a byte lane holds at
+# most 255 (a uint8 reduce runs about twice as fast as a uint16 one)
 _LANE_MAX = 255
 
 
@@ -121,51 +146,98 @@ def conditional_entropies_all(o, workers=1):
     """H(X_z, Y_xz | z) for every z, deterministic across worker counts.
 
     One walk over a spanning tree of the DAG carries
-    S_z[x] = |anc(x) & anc(z)| from a term to its tree children: each
-    non-root z hangs under its parent p with the most ancestors, and
-    S_z = S_p + sum of 1[x in desc*(a)] over a in anc(z) \\ anc(p), where
-    desc* is the reflexive descendant set, and S_root = 1. The sum is
-    taken in byte lanes: the strict descendant rows of the new ancestors
-    are unpacked to 0/1 bytes and reduced in uint8, in blocks of at most
-    255 rows so that no lane wraps, and each new ancestor then adds its
-    own bit. The walk is depth-first, so one S vector per depth level is
-    live.
+    T_z[x] = |Y_x| + |anc(x) & anc(z)| from a term to its tree children:
+    each non-root z hangs under its parent p with the most ancestors,
+    and T_z = T_p + sum of 1[x in desc*(a)] over a in anc(z) \\ anc(p),
+    where desc* is the reflexive descendant set, and T_root = |Y_x| + 1.
 
-    Workers take whole subtrees of the root's tree children; every S is
-    an exact integer vector and each z is reduced alone, so the result
-    does not depend on the worker count.
+    The walk takes the tree in depth-first preorder, in blocks of
+    consecutive terms: at most _BLOCK_CELLS // n terms and at most
+    _LANE_MAX new ancestors per block. A block finds its new ancestors
+    with one AND-NOT of packed rows, unpacks their descendant rows once
+    to 0/1 bytes and sets each one's own bit; each term then adds its
+    own rows to its parent's T in one uint8 reduce, which cannot wrap.
+    A term with more new ancestors than a lane holds sits alone in its
+    block and is summed lane by lane. The block's entropies come from
+    one table lookup and one row sum (_entropy_rows). In preorder every
+    term's tree parent lies on the path to the previous term, so only
+    that path's T rows, at most one per depth level, outlive a block.
+
+    Workers take whole subtrees of the root's tree children; every T is
+    an exact integer vector and each row is summed alone, so the result
+    does not depend on the worker count or the block bounds.
     """
     n = len(o)
     out = np.empty(n, dtype=np.float64)
-    y_base = _second_term_counts(o)
+    tab = _log2_table(n)
     root = o.root_index
-    # tree parent: the parent with the most ancestors, lowest index on ties
-    tree_parent = {}
+    anc_counts = o.anc_counts.tolist()
+    # tree parent: the parent with the most ancestors, lowest index on
+    # ties; the root, with the fewest, is every term's starting pick
+    tree_parent = [root] * n
     for c, p in o.edges:
-        q = tree_parent.get(c)
-        if q is None or o.anc_counts[p] > o.anc_counts[q]:
+        if anc_counts[p] > anc_counts[tree_parent[c]]:
             tree_parent[c] = p
     tree_children = [[] for _ in range(n)]
-    for c, p in tree_parent.items():
-        tree_children[p].append(c)
+    for c, p in o.edges:
+        if tree_parent[c] == p:
+            tree_children[p].append(c)
+    tree_parent_arr = np.array(tree_parent)
+    # anc(p) is inside anc(z), so |anc(z) \\ anc(p)| is a difference
+    new_counts = [anc_counts[z] - anc_counts[p] for z, p in enumerate(tree_parent)]
+    per_block = max(1, _BLOCK_CELLS // n)
 
-    s_root = np.ones(n, dtype=np.int64)
+    def blocks(tops):
+        block, rows = [], 0
+        stack = list(reversed(tops))
+        while stack:
+            z = stack.pop()
+            stack.extend(reversed(tree_children[z]))
+            if block and (len(block) == per_block or rows + new_counts[z] > _LANE_MAX):
+                yield block
+                block, rows = [], 0
+            block.append(z)
+            rows += new_counts[z]
+        if block:
+            yield block
+
+    def desc_lanes(new):
+        lanes = np.unpackbits(o.desc_bits[new].view(np.uint8), axis=1, bitorder="little")
+        lanes[np.arange(len(new)), new] = 1
+        return lanes[:, :n]
+
+    t_root = _second_term_counts(o) + 1
 
     def walk(tops):
-        stack = [(z, root, s_root) for z in reversed(tops)]
-        while stack:
-            z, p, s_p = stack.pop()
-            new = np.flatnonzero(unpack_row(o.anc_bits[z] & ~o.anc_bits[p], n))
-            s = s_p.copy()
-            for k in range(0, len(new), _LANE_MAX):
-                rows = np.unpackbits(o.desc_bits[new[k:k + _LANE_MAX]].view(np.uint8),
-                                     axis=1, bitorder="little")
-                s += np.add.reduce(rows, axis=0, dtype=np.uint8)[:n]
-            s[new] += 1
-            out[z] = _entropy_given(o, z, s, y_base)
-            stack.extend((c, z, s) for c in reversed(tree_children[z]))
+        path = [(root, t_root)]  # (term, T) from the root to the last term
+        t_buf = np.empty((per_block, n), dtype=np.intp)
+        logs_buf = np.empty((per_block, n))
+        for block in blocks(tops):
+            zs = np.array(block)
+            new_bits = o.anc_bits[zs] & ~o.anc_bits[tree_parent_arr[zs]]
+            # bit positions from the nonzero words only, term by term
+            rows, words = np.nonzero(new_bits)
+            bits = np.flatnonzero(np.unpackbits(new_bits[rows, words].view(np.uint8),
+                                                bitorder="little"))
+            new = words[bits >> 6] * 64 + (bits & 63)
+            lanes = desc_lanes(new) if len(new) <= _LANE_MAX else None
+            t = t_buf[:len(block)]
+            start = 0
+            for t_z, z in zip(t, block):
+                while path[-1][0] != tree_parent[z]:
+                    path.pop()
+                src, stop = path[-1][1], start + new_counts[z]
+                for lo in range(start, stop, _LANE_MAX):
+                    hi = min(lo + _LANE_MAX, stop)
+                    chunk = desc_lanes(new[lo:hi]) if lanes is None else lanes[lo:hi]
+                    np.add(src, np.add.reduce(chunk, axis=0, dtype=np.uint8), out=t_z)
+                    src = t_z
+                path.append((z, t_z))
+                start = stop
+            path = [(u, row.copy() if row.base is t_buf else row) for u, row in path]
+            out[zs] = _entropy_rows(o, zs, t, tab, logs_buf[:len(block)])
 
-    out[root] = _entropy_given(o, root, s_root, y_base)
+    out[root] = _entropy_rows(o, [root], t_root[None, :].copy(), tab)[0]
     tops = tree_children[root]
     if workers <= 1 or len(tops) < 2:
         walk(tops)

@@ -206,7 +206,7 @@ def test_benchmark_bins_csv_shape(tmp_path):
     _run_benchmark(tmp_path)
     lines = (tmp_path / "bins.csv").read_text().splitlines()
     assert lines[0] == "bin_index,count,mean_rrbs,mean_simmax"
-    assert len(lines) == 1 + json.load(open(tmp_path / "summary.json"))["bins"]
+    assert len(lines) == 1 + json.loads((tmp_path / "summary.json").read_text())["bins"]
 
 
 def test_benchmark_plot_data_rejected(tmp_path):
@@ -257,8 +257,8 @@ def test_benchmark_byte_identical_reruns(tmp_path):
     for name in ("bins.csv",):
         assert (dir1 / name).read_bytes() == (dir2 / name).read_bytes()
     # summaries differ only in the echoed worker count
-    s1 = json.load(open(dir1 / "summary.json"))
-    s2 = json.load(open(dir2 / "summary.json"))
+    s1 = json.loads((dir1 / "summary.json").read_text())
+    s2 = json.loads((dir2 / "summary.json").read_text())
     for s in (s1, s2):
         s["config"].pop("workers")
         s["config"].pop("out_dir")

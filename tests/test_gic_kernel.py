@@ -6,12 +6,15 @@ multi-parent terms whose extra parents carry ancestors the tree parent
 lacks, so both halves of the update run.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dagic import build_ontology, conditional_entropy_given, gic, ontology_entropy
+from dagic import metrics
 from dagic.metrics import conditional_entropies_all
 
 from test_metrics import brute
@@ -116,3 +119,37 @@ def test_more_new_ancestors_than_a_byte_lane_holds():
     expected = np.array([conditional_entropy_given(o, t) for t in o.ids])
     for workers in (1, 2):
         assert np.array_equal(conditional_entropies_all(o, workers=workers), expected)
+
+
+def two_chains():
+    """The DAG of test_more_new_ancestors_than_a_byte_lane_holds."""
+    chains = [f"{c}{i:03d}" for c in "ab" for i in range(260)]
+    ids = ["r", *chains, "z", "z1"]
+    edges = [("a000", "r"), ("b000", "r"), ("z", "a259"), ("z", "b259"), ("z1", "z")]
+    edges += [(f"{c}{i:03d}", f"{c}{i - 1:03d}") for c in "ab" for i in range(1, 260)]
+    return build_ontology(ids, edges)
+
+
+def assert_small_blocks_match(o, lanes):
+    """Blocks of 1-3 terms put tree parents in earlier blocks, so the
+    carried path rows are read; lanes below a term's new-ancestor count
+    make it sit alone and be summed lane by lane."""
+    expected = np.array([conditional_entropy_given(o, t) for t in o.ids])
+    for terms, lane_max in itertools.product((1, 2, 3), lanes):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_BLOCK_CELLS", terms * len(o))
+            mp.setattr(metrics, "_LANE_MAX", lane_max)
+            for workers in (1, 2):
+                got = conditional_entropies_all(o, workers=workers)
+                assert np.array_equal(got, expected), (terms, lane_max, workers)
+
+
+@common
+@given(dags())
+@example(EXTRA_ANCESTOR)
+def test_small_blocks_match_per_term(spec):
+    assert_small_blocks_match(build(spec), lanes=(255, 2))
+
+
+def test_small_blocks_match_per_term_past_a_lane():
+    assert_small_blocks_match(two_chains(), lanes=(255,))
