@@ -203,8 +203,8 @@ def cmd_semsim(cfg, out):
 
 
 def _benchmark_pairs(scores, corpus):
-    genes = set(corpus.gene_terms)
-    candidates = sorted({tuple(sorted(k)) for k in scores if k[0] != k[1]})
+    genes = corpus.gene_terms
+    candidates = sorted({(a, b) if a < b else (b, a) for a, b in scores if a != b})
     usable, skipped = [], 0
     for a, b in candidates:
         if a not in genes or b not in genes:

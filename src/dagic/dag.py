@@ -176,19 +176,23 @@ def build_ontology(terms, edges):
         raise CycleDetected(ids[i] for i in _find_cycle(remaining, parents_of))
 
     w = _n_words(n)
-    anc = np.zeros((n, w), dtype=np.uint64)
     self_bit = np.arange(n)
-    anc[self_bit, self_bit >> 6] = np.uint64(1) << np.uint64(self_bit & 63)
+    self_word, self_mask = self_bit >> 6, np.uint64(1) << np.uint64(self_bit & 63)
+    anc = np.zeros((n, w), dtype=np.uint64)
+    anc[self_bit, self_word] = self_mask
     for node in topo:
         for p in parents_of[node]:
             anc[node] |= anc[p]
 
+    # built reflexive, so each child's row already holds the child's bit;
+    # the self bits are cleared once at the end
     desc = np.zeros((n, w), dtype=np.uint64)
+    desc[self_bit, self_word] = self_mask
     for node in reversed(topo):
         row = desc[node]
         for c in children_of[node]:
             row |= desc[c]
-            row[c >> 6] |= np.uint64(1) << np.uint64(c & 63)
+    desc[self_bit, self_word] ^= self_mask
 
     # single root + acyclicity already imply reachability; kept as a
     # guard because every metric assumes root \in Pi_t

@@ -255,6 +255,9 @@ def _table(metric, o, raw, undefined=frozenset()):
     defined = ~np.isnan(raw)
     max_raw = float(raw[defined].max())
     normalized = raw / max_raw if max_raw != 0 else raw.copy()
+    # read-only, so nothing derived from a table (semsim's rank index) goes stale
+    raw.setflags(write=False)
+    normalized.setflags(write=False)
     return ICTable(
         metric=metric,
         ontology=o,

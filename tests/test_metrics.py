@@ -221,3 +221,11 @@ def test_ric_monotone_where_defined(rng):
             tc, tp = o.ids[c], o.ids[p]
             if table.is_defined(tc) and table.is_defined(tp):
                 assert table.raw_of(tc) >= table.raw_of(tp) - 1e-12
+
+
+def test_tables_are_read_only(diamond):
+    corpus = build_corpus([("g1", "c"), ("g2", "b")], diamond, min_depth=0)
+    for table in (gic(diamond), ric(diamond, corpus), sic(diamond)):
+        for values in (table.raw, table.normalized):
+            with pytest.raises(ValueError):
+                values[0] = 0.5
