@@ -14,7 +14,6 @@ from .dag import Ontology, build_ontology
 from .metrics import (
     EntropyReport,
     ICTable,
-    candidate_second_terms,
     conditional_entropy_given,
     gic,
     ontology_entropy,
@@ -22,6 +21,6 @@ from .metrics import (
     sic,
 )
 from .obo import OboTerm, format_obo, load_obo, parse_obo, to_graph
-from .semsim import GenePairSim, gene_similarity, term_similarity
+from .semsim import GenePairSim, gene_similarity
 
 __version__ = "0.1.0"

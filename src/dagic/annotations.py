@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dag import unpack_row
 from .errors import EmptyCorpus, MalformedLine, UnknownFormat, UnknownTerm
 
 log = logging.getLogger(__name__)
@@ -78,56 +77,47 @@ def build_corpus(pairs, o, min_depth=0, count_events=False):
     count_events switches from gene-level counting (each gene adds at
     most 1 to each term) to annotation-event counting; gene-level is
     the default and the semantics every metric here assumes.
+
+    Either way a counted unit (a gene, or a retained event) adds 1 to
+    the direct count of each of its terms and 1 to the propagated count
+    of each term in its ancestor union, and total is the number of units.
     """
-    n = len(o)
     by_gene = {}
+    events = []                 # term index per retained pair
     dropped_unknown = 0
     dropped_shallow = 0
-    retained_events = []
+    depth = o.depth.tolist()
     for gene, term in pairs:
         if term not in o:
             dropped_unknown += 1
             continue
-        if o.min_depth(term) < min_depth:
+        i = o.index(term)
+        if depth[i] < min_depth:
             dropped_shallow += 1
             continue
-        by_gene.setdefault(gene, set()).add(term)
-        retained_events.append((gene, term))
+        by_gene.setdefault(gene, set()).add(i)
+        events.append(i)
     if dropped_unknown:
         log.warning("dropped %d annotation pairs with unknown terms", dropped_unknown)
     if not by_gene:
         raise EmptyCorpus()
 
-    gene_ancestors = {}
-    scratch = np.empty(o.anc_bits.shape[1], dtype=np.uint64)
-    for gene, terms in by_gene.items():
-        scratch[:] = 0
-        for term in terms:
-            scratch |= o.anc_bits[o.index(term)]
-        gene_ancestors[gene] = np.flatnonzero(unpack_row(scratch, n))
-
-    direct = np.zeros(n, dtype=np.int64)
+    gene_ancestors = {g: o.ancestor_union(list(ts)) for g, ts in by_gene.items()}
     if count_events:
-        propagated = np.zeros(n, dtype=np.int64)
-        for _, term in retained_events:
-            i = o.index(term)
-            direct[i] += 1
-            propagated += unpack_row(o.anc_bits[i], n)
-        total = len(retained_events)
+        term_union = {i: o.ancestor_union([i]) for i in set(events)}
+        counted, unions = events, [term_union[i] for i in events]
     else:
-        for terms in by_gene.values():
-            for term in terms:
-                direct[o.index(term)] += 1
-        propagated = np.bincount(np.concatenate(list(gene_ancestors.values())), minlength=n)
-        total = len(by_gene)
+        counted = [i for ts in by_gene.values() for i in ts]
+        unions = list(gene_ancestors.values())
 
+    n = len(o)
     return AnnotationCorpus(
         ontology=o,
-        gene_terms={g: frozenset(ts) for g, ts in by_gene.items()},
+        gene_terms={g: frozenset(o.ids[i] for i in ts) for g, ts in by_gene.items()},
         gene_ancestors=gene_ancestors,
-        direct_count=direct,
-        propagated_count=propagated,
-        total=total,
+        direct_count=np.bincount(counted, minlength=n),
+        propagated_count=np.bincount(np.concatenate(unions), minlength=n),
+        total=len(unions),
         dropped_unknown=dropped_unknown,
         dropped_shallow=dropped_shallow,
     )

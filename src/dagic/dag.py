@@ -2,9 +2,17 @@
 
 Edges run child -> parent (subsumption direction). Ancestor sets are
 reflexive (a term is its own ancestor); descendant sets are strict.
-Closures are stored as packed uint64 bit rows, one |N|-bit row per term,
-so set unions and cardinalities downstream reduce to word-parallel
-OR + popcount.
+Closures are stored as packed uint64 bit rows, one |N|-bit row per term
+(anc_bits, desc_bits).
+
+Code outside this module asks Ontology for what it needs from the
+closures: ancestor_union(indices), the sorted union of the terms'
+reflexive ancestors; under(a, xs), the members of xs that have a as a
+reflexive ancestor; the anc_counts and desc_counts per term; and the
+ancestors/descendants set views. Only this module and the gIC kernel
+in metrics (_entropy_rows, conditional_entropy_given,
+conditional_entropies_all), which sums descendant rows word-parallel,
+read the bit rows themselves.
 """
 
 from collections import deque
@@ -27,14 +35,9 @@ def _n_words(n):
     return (n + _WORD - 1) // _WORD
 
 
-def popcount_rows(bits):
-    """Per-row popcount of a packed uint64 bit matrix."""
-    return np.bitwise_count(bits).sum(axis=-1, dtype=np.int64)
-
-
-def unpack_row(row, n):
-    """Boolean mask (length n) for one packed bit row."""
-    return np.unpackbits(row.view(np.uint8), bitorder="little")[:n].astype(bool)
+def _bit_indices(row, n):
+    """Sorted indices of the set bits of one packed row of n bits."""
+    return np.unpackbits(row.view(np.uint8), bitorder="little")[:n].view(bool).nonzero()[0]
 
 
 class Ontology:
@@ -55,8 +58,8 @@ class Ontology:
         self._children = children
         self.anc_bits = anc_bits            # (n, w) uint64, reflexive
         self.desc_bits = desc_bits          # (n, w) uint64, strict
-        self.anc_counts = popcount_rows(anc_bits)
-        self.desc_counts = popcount_rows(desc_bits)
+        self.anc_counts = np.bitwise_count(anc_bits).sum(axis=1, dtype=np.int64)
+        self.desc_counts = np.bitwise_count(desc_bits).sum(axis=1, dtype=np.int64)
         self.depth = depth                  # (n,) int64, min edge distance
         for arr in (self.anc_bits, self.desc_bits,
                     self.anc_counts, self.desc_counts, self.depth):
@@ -93,15 +96,25 @@ class Ontology:
 
     def ancestors(self, term_id):
         """Reflexive ancestor set (includes the term itself and the root)."""
-        i = self.index(term_id)
-        mask = unpack_row(self.anc_bits[i], len(self))
-        return frozenset(self.ids[j] for j in np.flatnonzero(mask))
+        return frozenset(self.ids[j] for j in self.ancestor_union([self.index(term_id)]))
 
     def descendants(self, term_id):
         """Strict descendant set (excludes the term itself)."""
-        i = self.index(term_id)
-        mask = unpack_row(self.desc_bits[i], len(self))
-        return frozenset(self.ids[j] for j in np.flatnonzero(mask))
+        row = self.desc_bits[self.index(term_id)]
+        return frozenset(self.ids[j] for j in _bit_indices(row, len(self)))
+
+    def ancestor_union(self, indices):
+        """Sorted term indices (an intp array) of the union of the
+        reflexive ancestors of the terms at indices, a list of term
+        indices; empty for an empty list."""
+        row = np.bitwise_or.reduce(self.anc_bits[indices], axis=0)
+        return _bit_indices(row, len(self))
+
+    def under(self, a, xs):
+        """The members of xs, term indices, that have term index a as a
+        reflexive ancestor, as a list in the order of xs."""
+        word, bit = a >> 6, a & 63
+        return [x for x in xs if int(self.anc_bits[x, word]) >> bit & 1]
 
     def min_depth(self, term_id):
         """Minimum edge distance from the root (root has depth 0)."""
@@ -160,14 +173,20 @@ def build_ontology(terms, edges):
         raise MultipleRoots(ids[i] for i in parentless)
     root = parentless[0]
 
-    # Kahn's algorithm; order guarantees parents precede children
+    # Kahn's algorithm; order guarantees parents precede children, so a
+    # term's depth is final once it is taken from the queue
     indeg = [len(parents_of[i]) for i in range(n)]
+    depth = [n] * n
+    depth[root] = 0
     order = deque([root])
     topo = []
     while order:
         node = order.popleft()
         topo.append(node)
+        below = depth[node] + 1
         for c in children_of[node]:
+            if below < depth[c]:
+                depth[c] = below
             indeg[c] -= 1
             if indeg[c] == 0:
                 order.append(c)
@@ -201,16 +220,6 @@ def build_ontology(terms, edges):
     if unreachable.size:
         raise UnreachableTerms(ids[i] for i in unreachable)
 
-    depth = np.full(n, -1, dtype=np.int64)
-    depth[root] = 0
-    frontier = deque([root])
-    while frontier:
-        node = frontier.popleft()
-        for c in children_of[node]:
-            if depth[c] < 0:
-                depth[c] = depth[node] + 1
-                frontier.append(c)
-
     return Ontology(
         ids=ids,
         edges=tuple(edge_idx),
@@ -219,5 +228,5 @@ def build_ontology(terms, edges):
         children=tuple(tuple(c) for c in children_of),
         anc_bits=anc,
         desc_bits=desc,
-        depth=depth,
+        depth=np.array(depth, dtype=np.int64),
     )

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dag import popcount_rows, unpack_row
 from .errors import DegenerateOntology, EmptyCorpus
 
 
@@ -58,16 +57,6 @@ def _second_term_counts(o):
     return len(o) + 1 - o.anc_counts - o.desc_counts
 
 
-def candidate_second_terms(o, x):
-    """Y_x: terms selectable after x, i.e. neither ancestor nor descendant
-    of x (nor x itself), with the root always re-admitted."""
-    i = o.index(x)
-    n = len(o)
-    mask = ~(unpack_row(o.anc_bits[i], n) | unpack_row(o.desc_bits[i], n))
-    mask[o.root_index] = True
-    return frozenset(o.ids[j] for j in np.flatnonzero(mask))
-
-
 def _joint_bits(first_count, conditional_sum):
     # a uniform first draw over first_count terms, then a uniform second
     # draw whose log2 sizes sum to conditional_sum (sizes of 1 add 0
@@ -93,7 +82,8 @@ def conditional_entropy_given(o, z):
     term ranges over X_z = (N \\ anc(z)) | {root}, the second over
     Y_xz = (N \\ (desc(x) | anc(x) | anc(z))) | {root}."""
     zi = o.index(z)
-    t = _second_term_counts(o) + popcount_rows(o.anc_bits & o.anc_bits[zi])
+    shared = np.bitwise_count(o.anc_bits & o.anc_bits[zi]).sum(axis=1, dtype=np.int64)
+    t = _second_term_counts(o) + shared
     return float(_entropy_rows(o, [zi], t[None, :], _log2_table(len(o)))[0])
 
 

@@ -79,13 +79,14 @@ def parse_obo(stream):
         tag = tag.strip()
         value = value.strip()
         if tag == "id":
+            value = _strip_comment(value)
             if not value:
                 raise MalformedStanza(lineno, "empty id")
             current.id = value
         elif tag == "name":
             current.name = value
         elif tag == "namespace":
-            current.namespace = value
+            current.namespace = _strip_comment(value)
         elif tag == "is_a":
             target = _strip_qualifiers(_strip_comment(value))
             if not target:

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dag import unpack_row
 from .errors import EmptyTermSet, NoDefinedCommonAncestor, UnknownGene
 
 
@@ -16,27 +15,6 @@ class GenePairSim:
     gene_b: str
     simmax: float
     best_pair: tuple  # (term_a, term_b, mica)
-
-
-def term_similarity(o, ic, t1, t2):
-    """Max normalized IC over the common (reflexive) ancestors of t1 and
-    t2, skipping undefined terms. Returns (value, mica); ties broken by
-    lexicographically smallest term id."""
-    i1, i2 = o.index(t1), o.index(t2)
-    common = unpack_row(o.anc_bits[i1] & o.anc_bits[i2], len(o))
-    best_val = -1.0
-    best_term = None
-    for j in np.flatnonzero(common):
-        term = o.ids[j]
-        if term in ic.undefined_terms:
-            continue
-        val = float(ic.normalized[j])
-        if val > best_val:  # ids scanned in ascending order, ties keep first
-            best_val = val
-            best_term = term
-    if best_term is None:
-        raise NoDefinedCommonAncestor(t1, t2)
-    return best_val, best_term
 
 
 def gene_similarity(o, ic, corpus, g1, g2):
@@ -132,10 +110,8 @@ def _smallest_pair_under(o, terms1, terms2, t):
     """The smallest sorted pair (a, b), a from terms1 and b from terms2,
     with term index t a reflexive ancestor of both; t must be a common
     ancestor of the two genes, so both sides are non-empty."""
-    word, bit = t >> 6, t & 63
-    under1 = [a for a in terms1 if int(o.anc_bits[a, word]) >> bit & 1]
-    under2 = [b for b in terms2 if int(o.anc_bits[b, word]) >> bit & 1]
-    return min((a, b) if a <= b else (b, a) for a in under1 for b in under2)
+    return min((a, b) if a <= b else (b, a)
+               for a in o.under(t, terms1) for b in o.under(t, terms2))
 
 
 def _gene_terms(corpus, gene):

@@ -1,13 +1,16 @@
 """Slow reference implementations that the library is checked against.
 
 ontology_entropy_oracle materializes the full two-term joint
-distribution; simmax_oracle scores a gene pair term pair by term pair.
-Neither is used by the library.
+distribution; simmax_oracle scores a gene pair term pair by term pair,
+one MICA scan (term_similarity) per pair. Both read the closures only
+through the Ontology.ancestors/descendants set views. None of these is
+used by the library.
 """
 
 import numpy as np
 
-from dagic import GenePairSim, candidate_second_terms, term_similarity
+from dagic import GenePairSim
+from dagic.errors import NoDefinedCommonAncestor
 from dagic.semsim import _gene_terms
 
 ORACLE_CAP = 2000
@@ -16,6 +19,30 @@ ORACLE_CAP = 2000
 class TooLargeForOracle(Exception):
     def __init__(self, size, cap):
         super().__init__(f"ontology has {size} terms, oracle cap is {cap}")
+
+
+def candidate_second_terms(o, x):
+    """Y_x: terms selectable after x, i.e. neither ancestor nor descendant
+    of x (nor x itself), with the root always re-admitted."""
+    return (frozenset(o.ids) - o.ancestors(x) - o.descendants(x)) | {o.root}
+
+
+def term_similarity(o, ic, t1, t2):
+    """Max normalized IC over the common (reflexive) ancestors of t1 and
+    t2, skipping undefined terms. Returns (value, mica); ties broken by
+    lexicographically smallest term id."""
+    best_val = -1.0
+    best_term = None
+    for term in sorted(o.ancestors(t1) & o.ancestors(t2)):
+        if term in ic.undefined_terms:
+            continue
+        val = ic.normalized_of(term)
+        if val > best_val:  # ids scanned in ascending order, ties keep first
+            best_val = val
+            best_term = term
+    if best_term is None:
+        raise NoDefinedCommonAncestor(t1, t2)
+    return best_val, best_term
 
 
 def ontology_entropy_oracle(o, cap=ORACLE_CAP):

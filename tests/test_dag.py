@@ -1,4 +1,8 @@
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagic import build_ontology
 from dagic.errors import (
@@ -10,6 +14,7 @@ from dagic.errors import (
 )
 
 from conftest import chain, random_dag
+from test_gic_kernel import build, dags
 
 
 def dfs_reachable(edges, start):
@@ -124,3 +129,35 @@ def test_depth_properties(rng):
                 assert o.min_depth(t) >= 1
         for c, p in o.edges:
             assert o.depth[c] <= o.depth[p] + 1
+
+
+def bfs_depth(o):
+    depth = {o.root: 0}
+    frontier = deque([o.root])
+    while frontier:
+        t = frontier.popleft()
+        for c in sorted(o.children(t)):
+            if c not in depth:
+                depth[c] = depth[t] + 1
+                frontier.append(c)
+    return [depth[t] for t in o.ids]
+
+
+@settings(max_examples=40, deadline=None)
+@given(dags(min_nodes=65, max_nodes=150), st.data())
+def test_ancestor_queries_match_set_views(spec, data):
+    # more than 64 terms, so every closure row spans several words
+    o = build(spec)
+    n = len(o)
+    below = [o.descendants(t) | {t} for t in o.ids]  # reflexive, by index
+    term = st.integers(0, n - 1)
+    xs = data.draw(st.lists(term, max_size=8))
+    for query in ([], [data.draw(term)], xs):
+        want = [j for j in range(n) if any(o.ids[x] in below[j] for x in query)]
+        assert o.ancestor_union(query).tolist() == want
+        if len(query) == 1:
+            assert {o.ids[j] for j in want} == o.ancestors(o.ids[query[0]])
+    a = data.draw(term)
+    assert o.under(a, xs) == [x for x in xs if o.ids[x] in below[a]]
+    assert o.under(a, []) == []
+    assert o.depth.tolist() == bfs_depth(o)

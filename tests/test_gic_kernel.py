@@ -21,10 +21,10 @@ from test_metrics import brute
 
 
 @st.composite
-def dags(draw, max_nodes=14):
+def dags(draw, max_nodes=14, min_nodes=2):
     """Single-rooted DAG as (n, parent lists); node 0 is the root and
     every other node takes 1-3 parents among lower-numbered nodes."""
-    n = draw(st.integers(2, max_nodes))
+    n = draw(st.integers(min_nodes, max_nodes))
     parents = [draw(st.sets(st.integers(0, i - 1), min_size=1, max_size=3))
                for i in range(1, n)]
     return n, parents

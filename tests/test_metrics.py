@@ -7,7 +7,6 @@ import pytest
 from dagic import (
     build_corpus,
     build_ontology,
-    candidate_second_terms,
     conditional_entropy_given,
     gic,
     load_obo,
@@ -20,7 +19,7 @@ from dagic.errors import DegenerateOntology, UnknownTerm
 from dagic.metrics import conditional_entropies_all
 
 from conftest import chain, random_dag
-from oracles import TooLargeForOracle, ontology_entropy_oracle
+from oracles import TooLargeForOracle, candidate_second_terms, ontology_entropy_oracle
 
 
 @pytest.fixture(scope="module")

@@ -71,6 +71,23 @@ def test_stanza_without_id():
         parse_obo(io.StringIO("[Term]\nname: anonymous\n"))
 
 
+def test_commented_id_and_namespace():
+    text = ("[Term]\nid: A ! root\nnamespace: molecular_function ! x\n\n"
+            "[Term]\nid: B\nnamespace: molecular_function\nis_a: A ! root\n")
+    terms = parse_obo(io.StringIO(text))
+    assert [(t.id, t.namespace) for t in terms] == [("A", "molecular_function"),
+                                                     ("B", "molecular_function")]
+    assert to_graph(terms) == (["A", "B"], [("B", "A")], 0)
+    assert to_graph(terms, namespace="molecular_function") == (["A", "B"], [("B", "A")], 0)
+
+
+@pytest.mark.parametrize("value", ["", " ! only a comment", "!"])
+def test_empty_id_after_comment(value):
+    with pytest.raises(MalformedStanza) as err:
+        parse_obo(io.StringIO(f"[Term]\nid:{value}\n"))
+    assert err.value.line_number == 2
+
+
 def test_relationship_needs_two_tokens():
     with pytest.raises(MalformedStanza) as err:
         parse_obo(io.StringIO("[Term]\nid: X:1\nrelationship: part_of\n"))

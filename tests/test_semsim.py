@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagic import build_corpus, gene_similarity, gic, ric, sic, term_similarity
+from dagic import build_corpus, gene_similarity, gic, ric, sic
 from dagic.errors import EmptyTermSet, NoDefinedCommonAncestor, UnknownGene
 from dagic.metrics import ICTable
 
 from conftest import random_dag
-from oracles import simmax_oracle
+from oracles import simmax_oracle, term_similarity
 from test_gic_kernel import build, dags
 
 
