@@ -1,9 +1,10 @@
 """Gene -> term annotation corpora and propagated term frequencies.
 
 Supports a 2-column TSV and a GAF 2.x subset (column 2 = object id,
-column 5 = term id). Term probabilities follow subsumption: a gene
-annotated to t counts toward t and every ancestor of t, at most once
-per gene.
+column 5 = term id; rows whose column-4 qualifier has a NOT token are
+negative annotations and are skipped). Term probabilities follow
+subsumption: a gene annotated to t counts toward t and every ancestor
+of t, at most once per gene.
 """
 
 import logging
@@ -40,6 +41,7 @@ def _parse_tsv(stream):
 
 def _parse_gaf(stream):
     pairs = []
+    negated = 0
     for lineno, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n")
         if not line or line.startswith("!"):
@@ -47,7 +49,12 @@ def _parse_gaf(stream):
         cols = line.split("\t")
         if len(cols) < 5 or not cols[1] or not cols[4]:
             raise MalformedLine(lineno, f"GAF line needs at least 5 columns, got {len(cols)}")
+        if "NOT" in cols[3].split("|"):
+            negated += 1
+            continue
         pairs.append((cols[1], cols[4]))
+    if negated:
+        log.warning("skipped %d NOT-qualified GAF annotations", negated)
     return pairs
 
 
@@ -111,12 +118,15 @@ def build_corpus(pairs, o, min_depth=0, count_events=False):
         unions = list(gene_ancestors.values())
 
     n = len(o)
+    # a bincount of the unions, without bincount's copy of them to intp
+    propagated = np.zeros(n, dtype=np.intp)
+    np.add.at(propagated, np.concatenate(unions), 1)
     return AnnotationCorpus(
         ontology=o,
         gene_terms={g: frozenset(o.ids[i] for i in ts) for g, ts in by_gene.items()},
         gene_ancestors=gene_ancestors,
         direct_count=np.bincount(counted, minlength=n),
-        propagated_count=np.bincount(np.concatenate(unions), minlength=n),
+        propagated_count=propagated,
         total=len(unions),
         dropped_unknown=dropped_unknown,
         dropped_shallow=dropped_shallow,

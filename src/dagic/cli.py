@@ -13,6 +13,11 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
+# dagic makes no BLAS call, and an idle OpenBLAS worker thread spins on
+# the CPU after numpy is imported; so numpy, imported below, starts with
+# one thread unless the user's environment says otherwise
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import annotations, benchmark, metrics, obo, semsim
 from .dag import build_ontology
 from .errors import DagicError, MissingInput
@@ -138,9 +143,9 @@ def _require_inputs(command, cfg):
 
 
 def _load_ontology(cfg):
-    terms = obo.load_obo(cfg.obo_path)
     relations = frozenset(r for r in cfg.relations.split(",") if r)
-    term_ids, edges, _ = obo.to_graph(terms, namespace=cfg.namespace,
+    # the parsed records are freed when to_graph returns, before the build
+    term_ids, edges, _ = obo.to_graph(obo.load_obo(cfg.obo_path), namespace=cfg.namespace,
                                       relations=relations)
     return build_ontology(term_ids, edges)
 

@@ -82,9 +82,13 @@ def conditional_entropy_given(o, z):
     term ranges over X_z = (N \\ anc(z)) | {root}, the second over
     Y_xz = (N \\ (desc(x) | anc(x) | anc(z))) | {root}."""
     zi = o.index(z)
-    shared = np.bitwise_count(o.anc_bits & o.anc_bits[zi]).sum(axis=1, dtype=np.int64)
+    pairs = o.ancestor_pairs([zi])
+    in_anc = np.zeros(len(o), dtype=np.uint8)
+    in_anc[pairs[1]] = 1
+    # |anc(x) & anc(z)| for every x, summed over x's ancestor list
+    shared = np.add.reduceat(in_anc[o.anc_idx], o.anc_ptr[:-1], dtype=np.intp)
     t = _second_term_counts(o) + shared
-    return float(_entropy_rows(o, [zi], t[None, :], _log2_table(len(o)))[0])
+    return float(_entropy_rows(o, [zi], pairs, t[None, :], _log2_table(len(o)))[0])
 
 
 def _log2_table(n):
@@ -100,11 +104,11 @@ def _log2_table(n):
     return tab
 
 
-def _entropy_rows(o, zs, t, tab, logs=None):
+def _entropy_rows(o, zs, pairs, t, tab, logs=None):
     """H(X_z, Y_xz | z) for each z in zs from t[i] = |Y_x| + S_z[x].
 
-    t is an intp array and is overwritten; logs, if given, is float64
-    scratch of t's shape.
+    pairs is o.ancestor_pairs(zs); t is an intp array and is
+    overwritten; logs, if given, is float64 scratch of t's shape.
 
     S_z[x] = |anc(x) & anc(z)|. For x outside anc(z), desc(x) and anc(z)
     are disjoint (a descendant of x above z would put x above z), so
@@ -119,8 +123,7 @@ def _entropy_rows(o, zs, t, tab, logs=None):
     t -= (a + 2 - n)[:, None]
     # every index is in range; mode="raise" would buffer the whole output
     logs = tab.take(t, out=logs, mode="clip")
-    anc = np.unpackbits(o.anc_bits[zs].view(np.uint8), axis=1, bitorder="little")
-    np.copyto(logs, 0.0, where=anc[:, :n].view(bool))
+    logs[pairs] = 0.0
     return _joint_bits(n - a + 1, logs.sum(axis=1))
 
 
@@ -143,10 +146,13 @@ def conditional_entropies_all(o, workers=1):
 
     The walk takes the tree in depth-first preorder, in blocks of
     consecutive terms: at most _BLOCK_CELLS // n terms and at most
-    _LANE_MAX new ancestors per block. A block finds its new ancestors
-    with one AND-NOT of packed rows, unpacks their descendant rows once
-    to 0/1 bytes and sets each one's own bit; each term then adds its
-    own rows to its parent's T in one uint8 reduce, which cannot wrap.
+    _LANE_MAX new ancestors per block. A block sets its terms' tree
+    parents' ancestor lists in one unpacked row per term; a term's own
+    list entries left unset there are its new ancestors. Their rows of
+    the sweep's packed reflexive descendant rows (_descendant_rows,
+    built once and freed on return) are unpacked once to 0/1 bytes, and
+    each term adds its own rows to its parent's T in one uint8 reduce,
+    which cannot wrap.
     A term with more new ancestors than a lane holds sits alone in its
     block and is summed lane by lane. The block's entropies come from
     one table lookup and one row sum (_entropy_rows). In preorder every
@@ -172,7 +178,6 @@ def conditional_entropies_all(o, workers=1):
     for c, p in o.edges:
         if tree_parent[c] == p:
             tree_children[p].append(c)
-    tree_parent_arr = np.array(tree_parent)
     # anc(p) is inside anc(z), so |anc(z) \\ anc(p)| is a difference
     new_counts = [anc_counts[z] - anc_counts[p] for z, p in enumerate(tree_parent)]
     per_block = max(1, _BLOCK_CELLS // n)
@@ -191,9 +196,10 @@ def conditional_entropies_all(o, workers=1):
         if block:
             yield block
 
+    desc = _descendant_rows(o, anc_counts)
+
     def desc_lanes(new):
-        lanes = np.unpackbits(o.desc_bits[new].view(np.uint8), axis=1, bitorder="little")
-        lanes[np.arange(len(new)), new] = 1
+        lanes = np.unpackbits(desc[new].view(np.uint8), axis=1, bitorder="little")
         return lanes[:, :n]
 
     t_root = _second_term_counts(o) + 1
@@ -202,14 +208,18 @@ def conditional_entropies_all(o, workers=1):
         path = [(root, t_root)]  # (term, T) from the root to the last term
         t_buf = np.empty((per_block, n), dtype=np.intp)
         logs_buf = np.empty((per_block, n))
+        member = np.zeros((per_block, n), dtype=bool)
         for block in blocks(tops):
             zs = np.array(block)
-            new_bits = o.anc_bits[zs] & ~o.anc_bits[tree_parent_arr[zs]]
-            # bit positions from the nonzero words only, term by term
-            rows, words = np.nonzero(new_bits)
-            bits = np.flatnonzero(np.unpackbits(new_bits[rows, words].view(np.uint8),
-                                                bitorder="little"))
-            new = words[bits >> 6] * 64 + (bits & 63)
+            # each term's ancestors missing from its tree parent's list:
+            # the new ones, term by term in ascending order
+            k, a = o.ancestor_pairs(block + [tree_parent[z] for z in block])
+            own = k < len(block)
+            pairs = k[own], a[own]
+            above = k[~own] - len(block), a[~own]
+            member[above] = True
+            new = pairs[1][~member[pairs]]
+            member[above] = False
             lanes = desc_lanes(new) if len(new) <= _LANE_MAX else None
             t = t_buf[:len(block)]
             start = 0
@@ -225,9 +235,10 @@ def conditional_entropies_all(o, workers=1):
                 path.append((z, t_z))
                 start = stop
             path = [(u, row.copy() if row.base is t_buf else row) for u, row in path]
-            out[zs] = _entropy_rows(o, zs, t, tab, logs_buf[:len(block)])
+            out[zs] = _entropy_rows(o, zs, pairs, t, tab, logs_buf[:len(block)])
 
-    out[root] = _entropy_rows(o, [root], t_root[None, :].copy(), tab)[0]
+    out[root] = _entropy_rows(o, [root], o.ancestor_pairs([root]), t_root[None, :].copy(),
+                              tab)[0]
     tops = tree_children[root]
     if workers <= 1 or len(tops) < 2:
         walk(tops)
@@ -239,6 +250,24 @@ def conditional_entropies_all(o, workers=1):
             for f in futures:
                 f.result()
     return out
+
+
+def _descendant_rows(o, anc_counts):
+    """Packed reflexive descendant rows: bit x of row a, an (n, w) uint64
+    array, is set when a is an ancestor of x. A strict ancestor has
+    fewer ancestors than its descendant, so taking the edges by
+    descending ancestor count of the parent ORs every child's row into
+    its parent's after the child's own row is complete. anc_counts is
+    o.anc_counts as a list."""
+    n = len(o)
+    rows = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+    own = np.arange(n)
+    rows[own, own >> 6] = np.uint64(1) << (own & 63).astype(np.uint64)
+    # keys taken from the list, not negated: fresh int objects left
+    # behind in the interpreter's small-object pools stay resident
+    for c, p in sorted(o.edges, key=lambda e: anc_counts[e[1]], reverse=True):
+        rows[p] |= rows[c]
+    return rows
 
 
 def _table(metric, o, raw, undefined=frozenset()):

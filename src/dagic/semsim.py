@@ -90,7 +90,9 @@ class _RankIndex:
             terms = [self.corpus.ontology.index(t) for t in _gene_terms(self.corpus, g)]
             mask = np.zeros(len(self.term_of), dtype=bool)
             mask[self.rank_of[self.corpus.gene_ancestors[g]]] = True
-            bits = int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+            # NaN terms rank last and never score, so the int leaves them out
+            packed = np.packbits(mask[:self.defined], bitorder="little")
+            bits = int.from_bytes(packed.tobytes(), "little")
             entry = self.genes[g] = (bits, terms)
         return entry
 

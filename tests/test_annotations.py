@@ -38,6 +38,19 @@ def test_gaf_17_columns():
     assert parse_annotations(io.StringIO(line), format="gaf") == [("P12345", "GO:0001")]
 
 
+def test_gaf_skips_not_qualified_rows(caplog):
+    def row(gene, qualifier, term):
+        cols = [""] * 17
+        cols[1], cols[3], cols[4] = gene, qualifier, term
+        return "\t".join(cols) + "\n"
+    text = (row("g1", "NOT", "GO:1") + row("g2", "NOT|contributes_to", "GO:2")
+            + row("g3", "contributes_to", "GO:3") + row("g4", "", "GO:4"))
+    with caplog.at_level("WARNING", logger="dagic.annotations"):
+        pairs = parse_annotations(io.StringIO(text), format="gaf")
+    assert pairs == [("g3", "GO:3"), ("g4", "GO:4")]
+    assert caplog.messages == ["skipped 2 NOT-qualified GAF annotations"]
+
+
 def test_gaf_golden_fixture(data_dir):
     with open(os.path.join(data_dir, "manifest.json"), encoding="utf-8") as fh:
         expected = [tuple(p) for p in json.load(fh)["gaf"]["pairs"]]

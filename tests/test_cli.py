@@ -477,3 +477,46 @@ def test_readme_option_table_lists_every_field():
                    else f"`{f.default}`" if f.default != "" else '`""`')
         assert cells[1:4] == [f"`{f.name}`", f"`DAGIC_{f.name.upper()}`", default], row
         assert cells[4] == ", ".join(f.metadata["commands"]), row
+
+
+# the package's public names before they were loaded on first use
+EXPORTS = ("AnnotationCorpus", "BenchmarkReport", "Bin", "EntropyReport", "GenePairSim",
+           "ICTable", "OboTerm", "Ontology", "build_corpus", "build_ontology",
+           "conditional_entropy_given", "format_obo", "gene_similarity", "gic",
+           "load_bitscores", "load_obo", "ols_r2", "ontology_entropy", "parse_annotations",
+           "parse_obo", "ric", "rrbs", "run_benchmark", "sic", "to_graph")
+SUBMODULES = ("annotations", "benchmark", "cli", "dag", "errors", "metrics", "obo", "semsim")
+
+
+def run_python(code, **env_extra):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(env_extra)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
+def test_import_dagic_loads_no_numpy():
+    code = ("import sys, dagic\n"
+            "print('numpy' in sys.modules)\n"
+            f"for name in {EXPORTS + SUBMODULES!r}:\n"
+            "    getattr(dagic, name)\n"
+            "print('numpy' in sys.modules)\n")
+    assert run_python(code).split() == ["False", "True"]
+
+
+def test_package_names_and_submodules_reachable():
+    import dagic
+    assert sorted(dagic.__all__) == sorted(EXPORTS)
+    for name in EXPORTS:
+        module = getattr(dagic, name).__module__
+        assert module.startswith("dagic.") and hasattr(sys.modules[module], name)
+    for name in SUBMODULES:
+        assert getattr(dagic, name) is sys.modules[f"dagic.{name}"]
+    with pytest.raises(AttributeError):
+        dagic.no_such_name
+
+
+@pytest.mark.parametrize("env, threads", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "4"}, "4")])
+def test_cli_starts_numpy_with_one_openblas_thread_unless_set(env, threads):
+    code = "import os, dagic.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert run_python(code, **env).strip() == threads

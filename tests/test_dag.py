@@ -1,10 +1,12 @@
+import tracemalloc
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagic import build_ontology
+from dagic import build_ontology, dag, ontology_entropy, sic
 from dagic.errors import (
     CycleDetected,
     MultipleRoots,
@@ -161,3 +163,70 @@ def test_ancestor_queries_match_set_views(spec, data):
     assert o.under(a, xs) == [x for x in xs if o.ids[x] in below[a]]
     assert o.under(a, []) == []
     assert o.depth.tolist() == bfs_depth(o)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dags(min_nodes=65, max_nodes=200), st.data())
+def test_ancestor_lists_built_in_small_blocks_match_sets(spec, data):
+    """Blocks of 64 ancestor ids, so the lists of most terms are pieced
+    together from several blocks; the second build also cuts every level
+    and every read-out into chunks of a few rows, and stores the lists
+    as int32, the type of ontologies too large for uint16."""
+    n, parents = spec
+    anc = [{0}]  # reflexive ancestors and min depth, by node number
+    depth = [0]
+    for i, ps in enumerate(parents, start=1):
+        anc.append({i}.union(*(anc[p] for p in ps)))
+        depth.append(1 + min(depth[p] for p in ps))
+    for chunk_bytes, narrow, dtype in ((dag._CHUNK_BYTES, dag._NARROW_TERMS, np.uint16),
+                                       (64, n - 1, np.int32)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dag, "_ANC_BLOCK", 64)
+            mp.setattr(dag, "_CHUNK_BYTES", chunk_bytes)
+            mp.setattr(dag, "_NARROW_TERMS", narrow)
+            o = build(spec)
+        node = [int(t[1:]) for t in o.ids]
+        index = {v: i for i, v in enumerate(node)}
+        want = [sorted(index[a] for a in anc[v]) for v in node]
+        assert (o.anc_idx.dtype, o.anc_ptr.dtype) == (dtype, np.int64)
+        assert [o.anc_idx[o.anc_ptr[i]:o.anc_ptr[i + 1]].tolist() for i in range(n)] == want
+        assert o.anc_counts.tolist() == [len(w) for w in want]
+        assert o.desc_counts.tolist() == [sum(i in w for w in want) - 1 for i in range(n)]
+        assert o.depth.tolist() == [depth[v] for v in node]
+        xs = data.draw(st.lists(st.integers(0, n - 1), max_size=8))
+        assert o.ancestor_union(xs).tolist() == sorted(set().union(*(want[x] for x in xs)))
+        a = data.draw(st.integers(0, n - 1))
+        assert o.under(a, xs) == [x for x in xs if a in want[x]]
+
+
+def layered(sizes, seed=5):
+    """Layered DAG: each term takes 1-2 parents from the layer above."""
+    rng = np.random.default_rng(seed)
+    ids = [f"T{i:05d}" for i in range(sum(sizes))]
+    edges, above, start = [], [0], 1
+    for size in sizes[1:]:
+        layer = range(start, start + size)
+        for t in layer:
+            k = min(len(above), int(rng.integers(1, 3)))
+            edges += [(ids[t], ids[int(p)]) for p in rng.choice(above, size=k, replace=False)]
+        above, start = list(layer), start + size
+    return ids, edges
+
+
+def test_closure_queries_hold_no_packed_closure():
+    """Building the ontology and answering entropy, sIC and ancestor
+    unions allocate less than half of one packed n x n closure (36 MiB
+    here; a build block of ancestor rows takes 12 MiB of it)."""
+    ids, edges = layered([1, 24, 192, 1536, 6144, 9000, 7679])
+    n = len(ids)
+    assert n == 24576
+    tracemalloc.start()
+    try:
+        o = build_ontology(ids, edges)
+        ontology_entropy(o)
+        sic(o)
+        o.ancestor_union(list(range(0, n, 97)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n / 8 / 2
