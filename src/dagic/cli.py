@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 I/O error, 2 validation/domain error.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -17,6 +18,10 @@ from dataclasses import asdict, dataclass, field, fields
 # the CPU after numpy is imported; so numpy, imported below, starts with
 # one thread unless the user's environment says otherwise
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+if __name__ == "__main__":
+    # a `python -m dagic.cli` process runs without the cyclic collector from
+    # here, before numpy's import, to its exit; see run()
+    gc.disable()
 
 from . import annotations, benchmark, metrics, obo, semsim
 from .dag import build_ontology
@@ -310,5 +315,21 @@ def main(argv=None):
         return 1
 
 
+def run(argv=None):
+    """Process entry of the `dagic` script and `python -m dagic.cli`:
+    main(argv) with the cyclic garbage collector off, and the heap frozen
+    once main returns, so neither collections during the run nor the
+    interpreter's final collection at exit walk it. A run leaves the
+    same few hundred objects in cycles (argparse's parser) whatever the
+    size of its input, so the collector has nothing of size to reclaim.
+    The collector stays off afterwards; a caller whose process goes on
+    calls main instead."""
+    gc.disable()
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

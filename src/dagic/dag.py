@@ -9,7 +9,10 @@ indices are uint16 while every one fits (up to _NARROW_TERMS terms,
 GO's size included) and int32 above: on a dense DAG the lists outgrow
 the packed rows they replace, and the narrow type halves them.
 anc_counts are the list lengths, and desc_counts count each term's
-appearances in the lists, less its own.
+appearances in the lists, less its own. The edges are held once, as
+the sorted (child, parent) rows of an (m, 2) intp array, with CSR
+offsets into it for each term's parents and, through one array of
+children ordered by parent, for each term's children.
 
 Code outside this module asks Ontology for what it needs from the
 closure: ancestor_pairs(indices), the (position, ancestor) pairs of
@@ -53,6 +56,14 @@ def _n_words(n):
     return (n + _WORD - 1) // _WORD
 
 
+def _offsets(keys, n):
+    """(n + 1,) int64 CSR offsets of one run per value 0..n-1 of keys,
+    the runs laid out by ascending value."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=ptr[1:])
+    return ptr
+
+
 class Ontology:
     """Validated DAG over string term ids with dense integer indices.
 
@@ -61,14 +72,18 @@ class Ontology:
     lexicographic id order so every emitted table is deterministic.
     """
 
-    def __init__(self, ids, edges, root_index, parents, children,
+    def __init__(self, ids, edges, root_index, parent_ptr, child_idx, child_ptr,
                  anc_ptr, anc_idx, depth):
         self.ids = ids                      # tuple[str], lexicographic
-        self.edges = edges                  # tuple[(child_idx, parent_idx)]
+        self.edges = edges                  # (m, 2) intp rows (child, parent), sorted
         self.root_index = root_index
         self._index = {t: i for i, t in enumerate(ids)}
-        self._parents = parents             # tuple[tuple[int]]
-        self._children = children
+        # CSR over the edges: term i's parents are edges[parent_ptr[i]:
+        # parent_ptr[i + 1], 1], and its children child_idx[child_ptr[i]:
+        # child_ptr[i + 1]], both ascending
+        self._parent_ptr = parent_ptr
+        self._child_idx = child_idx
+        self._child_ptr = child_ptr
         self.anc_ptr = anc_ptr              # (n + 1,) int64 offsets into anc_idx
         self.anc_idx = anc_idx              # each term's ancestors ascending
         self.anc_counts = np.diff(anc_ptr)
@@ -76,8 +91,9 @@ class Ontology:
         self.desc_counts = np.full(len(ids), -1, dtype=np.int64)
         np.add.at(self.desc_counts, anc_idx, 1)
         self.depth = depth                  # (n,) int64, min edge distance
-        for arr in (self.anc_ptr, self.anc_idx,
-                    self.anc_counts, self.desc_counts, self.depth):
+        for arr in (self.edges, self._parent_ptr, self._child_idx, self._child_ptr,
+                    self.anc_ptr, self.anc_idx, self.anc_counts, self.desc_counts,
+                    self.depth):
             arr.setflags(write=False)
         # element access from Python without numpy scalars, for under()
         self._ptr_view = memoryview(anc_ptr)
@@ -107,10 +123,14 @@ class Ontology:
         return self.ids[index]
 
     def parents(self, term_id):
-        return frozenset(self.ids[i] for i in self._parents[self.index(term_id)])
+        i = self.index(term_id)
+        run = self.edges[self._parent_ptr[i]:self._parent_ptr[i + 1], 1]
+        return frozenset(self.ids[p] for p in run.tolist())
 
     def children(self, term_id):
-        return frozenset(self.ids[i] for i in self._children[self.index(term_id)])
+        i = self.index(term_id)
+        run = self._child_idx[self._child_ptr[i]:self._child_ptr[i + 1]]
+        return frozenset(self.ids[c] for c in run.tolist())
 
     def ancestors(self, term_id):
         """Reflexive ancestor set (includes the term itself and the root)."""
@@ -175,17 +195,21 @@ def _find_cycle(remaining, parents_of):
 
 
 def _index_edges(ids, edges):
-    """The distinct (child, parent) index pairs of edges, sorted; the
-    first edge, in input order, that names a term outside ids raises."""
+    """The distinct (child, parent) index pairs of edges as the rows of an
+    (m, 2) intp array, sorted; the first edge, in input order, that names
+    a term outside ids raises."""
     index = {t: i for i, t in enumerate(ids)}
-    found = set()
+    n = len(ids)
+    found = set()  # child * n + parent, so no pair is held as a tuple
     for child, parent in edges:
         if child not in index:
             raise UnknownTermInEdge(child, (child, parent))
         if parent not in index:
             raise UnknownTermInEdge(parent, (child, parent))
-        found.add((index[child], index[parent]))
-    return sorted(found)
+        found.add(index[child] * n + index[parent])
+    # sorted in Python: numpy's int sorts would fault in more of its code
+    keys = np.fromiter(sorted(found), dtype=np.intp, count=len(found))
+    return np.stack(np.divmod(keys, n), axis=1)
 
 
 def build_ontology(terms, edges):
@@ -199,24 +223,29 @@ def build_ontology(terms, edges):
         raise NoRoot()
     n = len(ids)
     edge_idx = _index_edges(ids, edges)
+    child, parent = edge_idx.T
+    parent_ptr = _offsets(child, n)
+    child_idx = child[np.argsort(parent, kind="stable")]
+    child_ptr = _offsets(parent, n)
+    # element access from Python without numpy scalars, and without a
+    # list of fresh ints per edge
+    up, up_ptr = memoryview(parent), memoryview(parent_ptr)
+    down, down_ptr = memoryview(child_idx), memoryview(child_ptr)
 
-    parents_of = [[] for _ in range(n)]
-    children_of = [[] for _ in range(n)]
-    for c, p in edge_idx:
-        parents_of[c].append(p)
-        children_of[p].append(c)
+    def parents_of():
+        return [up[up_ptr[i]:up_ptr[i + 1]] for i in range(n)]
 
-    parentless = [i for i in range(n) if not parents_of[i]]
+    indeg = np.diff(parent_ptr).tolist()
+    parentless = [i for i in range(n) if not indeg[i]]
     if not parentless:
         # every term has a parent, so some cycle exists; report it
-        raise CycleDetected(ids[i] for i in _find_cycle(set(range(n)), parents_of))
+        raise CycleDetected(ids[i] for i in _find_cycle(set(range(n)), parents_of()))
     if len(parentless) > 1:
         raise MultipleRoots(ids[i] for i in parentless)
     root = parentless[0]
 
     # Kahn's algorithm; order guarantees parents precede children, so a
     # term's depth is final once it is taken from the queue
-    indeg = [len(parents_of[i]) for i in range(n)]
     depth = [n] * n
     depth[root] = 0
     level = [0] * n  # longest edge distance from the root
@@ -226,7 +255,7 @@ def build_ontology(terms, edges):
         node = order.popleft()
         topo.append(node)
         below = depth[node] + 1
-        for c in children_of[node]:
+        for c in down[down_ptr[node]:down_ptr[node + 1]]:
             if below < depth[c]:
                 depth[c] = below
             level[c] = max(level[c], level[node] + 1)
@@ -235,10 +264,7 @@ def build_ontology(terms, edges):
                 order.append(c)
     if len(topo) < n:
         remaining = set(range(n)) - set(topo)
-        raise CycleDetected(ids[i] for i in _find_cycle(remaining, parents_of))
-    # the final tuples, made before the lists' build so the lists are freed
-    parents_of = tuple(map(tuple, parents_of))
-    children_of = tuple(map(tuple, children_of))
+        raise CycleDetected(ids[i] for i in _find_cycle(remaining, parents_of()))
 
     anc_ptr, anc_idx = _ancestor_lists(n, edge_idx, level)
     # single root + acyclicity already imply reachability; kept as a
@@ -249,10 +275,11 @@ def build_ontology(terms, edges):
 
     return Ontology(
         ids=ids,
-        edges=tuple(edge_idx),
+        edges=edge_idx,
         root_index=root,
-        parents=parents_of,
-        children=children_of,
+        parent_ptr=parent_ptr,
+        child_idx=child_idx,
+        child_ptr=child_ptr,
         anc_ptr=anc_ptr,
         anc_idx=anc_idx,
         depth=np.array(depth, dtype=np.int64),
@@ -261,7 +288,7 @@ def build_ontology(terms, edges):
 
 def _ancestor_lists(n, edges, level):
     """CSR reflexive ancestor lists (ptr, idx) of the DAG with child ->
-    parent edges, a list of (child, parent) index pairs, where every
+    parent edges, the sorted (child, parent) rows of an array, where every
     parent's level is below its child's.
 
     The lists are built one block of _ANC_BLOCK ancestor ids at a time:
@@ -305,9 +332,9 @@ def _level_steps(edges, level, words):
     a child's k-th parent comes in a later step than its first, and a
     step gathers at most _CHUNK_BYTES of rows of `words` words. Steps go
     by ascending level, so a parent's row is complete before it is read."""
-    if not edges:
+    if not len(edges):
         return []
-    child, parent = np.array(edges).T
+    child, parent = edges.T
     first = np.flatnonzero(np.diff(child, prepend=-1))  # each child's first edge
     k = np.arange(len(child)) - np.repeat(first, np.diff(first, append=len(child)))
     child_level = np.array(level)[child]

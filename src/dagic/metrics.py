@@ -167,19 +167,22 @@ def conditional_entropies_all(o, workers=1):
     out = np.empty(n, dtype=np.float64)
     tab = _log2_table(n)
     root = o.root_index
-    anc_counts = o.anc_counts.tolist()
     # tree parent: the parent with the most ancestors, lowest index on
-    # ties; the root, with the fewest, is every term's starting pick
-    tree_parent = [root] * n
-    for c, p in o.edges:
-        if anc_counts[p] > anc_counts[tree_parent[c]]:
-            tree_parent[c] = p
-    tree_children = [[] for _ in range(n)]
-    for c, p in o.edges:
-        if tree_parent[c] == p:
-            tree_children[p].append(c)
+    # ties, i.e. each child's first edge by (child, n - count, parent);
+    # the edges come sorted by (child, parent), so two stable sorts give it
+    child, parent = o.edges.T
+    picks = np.argsort(n - o.anc_counts[parent], kind="stable")
+    picks = picks[np.argsort(child[picks], kind="stable")]
+    picks = picks[np.diff(child[picks], prepend=-1) != 0]
+    tree_parent = np.full(n, root)
+    tree_parent[child[picks]] = parent[picks]
     # anc(p) is inside anc(z), so |anc(z) \\ anc(p)| is a difference
-    new_counts = [anc_counts[z] - anc_counts[p] for z, p in enumerate(tree_parent)]
+    new_counts = (o.anc_counts - o.anc_counts[tree_parent]).tolist()
+    tree_parent = tree_parent.tolist()
+    tree_children = [[] for _ in range(n)]
+    for z, p in enumerate(tree_parent):
+        if z != root:
+            tree_children[p].append(z)
     per_block = max(1, _BLOCK_CELLS // n)
 
     def blocks(tops):
@@ -196,7 +199,7 @@ def conditional_entropies_all(o, workers=1):
         if block:
             yield block
 
-    desc = _descendant_rows(o, anc_counts)
+    desc = _descendant_rows(o)
 
     def desc_lanes(new):
         lanes = np.unpackbits(desc[new].view(np.uint8), axis=1, bitorder="little")
@@ -252,20 +255,19 @@ def conditional_entropies_all(o, workers=1):
     return out
 
 
-def _descendant_rows(o, anc_counts):
+def _descendant_rows(o):
     """Packed reflexive descendant rows: bit x of row a, an (n, w) uint64
     array, is set when a is an ancestor of x. A strict ancestor has
     fewer ancestors than its descendant, so taking the edges by
     descending ancestor count of the parent ORs every child's row into
-    its parent's after the child's own row is complete. anc_counts is
-    o.anc_counts as a list."""
+    its parent's after the child's own row is complete."""
     n = len(o)
     rows = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
     own = np.arange(n)
     rows[own, own >> 6] = np.uint64(1) << (own & 63).astype(np.uint64)
-    # keys taken from the list, not negated: fresh int objects left
-    # behind in the interpreter's small-object pools stay resident
-    for c, p in sorted(o.edges, key=lambda e: anc_counts[e[1]], reverse=True):
+    # memoryviews, not lists: element access makes one int at a time
+    edges = o.edges[np.argsort(n - o.anc_counts[o.edges[:, 1]], kind="stable")]
+    for c, p in zip(memoryview(edges[:, 0]), memoryview(edges[:, 1])):
         rows[p] |= rows[c]
     return rows
 

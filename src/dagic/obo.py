@@ -31,13 +31,34 @@ def _strip_comment(value):
     return value.strip()
 
 
-def _strip_qualifiers(value):
-    # trailing "{name=value, ...}" modifier block per OBO 1.2, which sits
-    # before any "! comment"
+def _strip_modifiers(value):
+    # trailing '{name="value", ...}' qualifier block and "! comment" per
+    # OBO 1.2; the block comes first, and a "!" or "}" inside its quoted
+    # values is text, not the comment's start or the block's end
     brace = value.find("{")
-    if brace >= 0 and value.endswith("}"):
-        value = value[:brace]
-    return value.strip()
+    bang = value.find("!")
+    if brace >= 0 and not 0 <= bang < brace:
+        close = _block_end(value, brace)
+        if close is not None and value[close + 1:].lstrip()[:1] in ("", "!"):
+            return value[:brace].strip()
+    return _strip_comment(value)
+
+
+def _block_end(value, brace):
+    """Index of the "}" that closes the qualifier block opened at
+    value[brace], or None; quoted text and backslash escapes are skipped."""
+    quoted = escaped = False
+    for i in range(brace + 1, len(value)):
+        ch = value[i]
+        if escaped:
+            escaped = False
+        elif ch == "\\":
+            escaped = True
+        elif ch == '"':
+            quoted = not quoted
+        elif ch == "}" and not quoted:
+            return i
+    return None
 
 
 def parse_obo(stream):
@@ -88,12 +109,12 @@ def parse_obo(stream):
         elif tag == "namespace":
             current.namespace = _strip_comment(value)
         elif tag == "is_a":
-            target = _strip_qualifiers(_strip_comment(value))
+            target = _strip_modifiers(value)
             if not target:
                 raise MalformedStanza(lineno, "is_a with no target")
             current.is_a.append(target)
         elif tag == "relationship":
-            parts = _strip_qualifiers(_strip_comment(value)).split()
+            parts = _strip_modifiers(value).split()
             if len(parts) != 2:
                 raise MalformedStanza(lineno, f"relationship needs 'type target': {value!r}")
             current.relationships.append((parts[0], parts[1]))

@@ -107,6 +107,31 @@ def test_trailing_qualifiers_stripped(comment):
     assert dropped == 0
 
 
+@pytest.mark.parametrize("qualifiers", ['{comment="see note!"}',
+                                        '{comment="a } b ! c", source="x"}',
+                                        r'{comment="say \"hi!\""}'])
+@pytest.mark.parametrize("comment", ["", " ! parent"])
+def test_bang_inside_quoted_qualifier_is_text(qualifiers, comment):
+    text = ("[Term]\nid: X:0\n\n[Term]\nid: X:1\n"
+            f"is_a: X:0 {qualifiers}{comment}\n"
+            f"relationship: part_of X:0 {qualifiers}{comment}\n")
+    child = parse_obo(io.StringIO(text))[1]
+    assert child.is_a == ["X:0"]
+    assert child.relationships == [("part_of", "X:0")]
+    _, edges, dropped = to_graph(parse_obo(io.StringIO(text)), relations={"part_of"})
+    assert edges == [("X:1", "X:0"), ("X:1", "X:0")]
+    assert dropped == 0
+
+
+@pytest.mark.parametrize("value, target", [
+    ("X:0 ! comment {not a block}", "X:0"),    # the comment comes first
+    ('X:0 {source="x"', 'X:0 {source="x"'),  # unclosed: not a block
+])
+def test_qualifier_block_only_before_comment(value, target):
+    text = f"[Term]\nid: X:1\nis_a: {value}\n"
+    assert parse_obo(io.StringIO(text))[0].is_a == [target]
+
+
 def test_obsolete_excluded_downstream():
     terms = parse_obo(io.StringIO(MINI))
     ids, edges, dropped = to_graph(terms)
