@@ -25,7 +25,7 @@ if __name__ == "__main__":
 
 from . import annotations, benchmark, metrics, obo, semsim
 from .dag import build_ontology
-from .errors import DagicError, MissingInput
+from .errors import DagicError, MalformedLine, MissingInput, open_input
 
 ENV_PREFIX = "DAGIC_"
 _ALL = ("entropy", "ic", "semsim", "benchmark")
@@ -107,21 +107,21 @@ def _parse_value(name, value):
 
 def _read_config_file(path):
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise DagicError(f"{path}:{lineno}: expected 'key = value'")
+                raise MalformedLine(lineno, "expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             if key not in RunConfig.__dataclass_fields__:
-                raise DagicError(f"{path}:{lineno}: unknown config key {key!r}")
+                raise MalformedLine(lineno, f"unknown config key {key!r}")
             try:
                 values[key] = _parse_value(key, value.strip())
             except DagicError as exc:
-                raise DagicError(f"{path}:{lineno}: {exc}") from None
+                raise MalformedLine(lineno, str(exc)) from None
     return values
 
 
@@ -156,7 +156,7 @@ def _load_ontology(cfg):
 
 
 def _load_corpus(cfg, o):
-    with open(cfg.corpus_path, encoding="utf-8") as fh:
+    with open_input(cfg.corpus_path) as fh:
         pairs = annotations.parse_annotations(fh, format=cfg.corpus_format)
     return annotations.build_corpus(pairs, o, min_depth=cfg.min_depth,
                                     count_events=cfg.count_events)
@@ -203,7 +203,7 @@ def cmd_semsim(cfg, out):
     o = _load_ontology(cfg)
     corpus = _load_corpus(cfg, o)
     table = _ic_table(cfg, o)
-    with open(cfg.pairs_path, encoding="utf-8") as fh:
+    with open_input(cfg.pairs_path) as fh:
         gene_pairs = annotations.parse_annotations(fh, format="tsv")
     for g1, g2 in gene_pairs:
         sim = semsim.gene_similarity(o, table, corpus, g1, g2)
@@ -232,7 +232,7 @@ def cmd_benchmark(cfg, out):
     o = _load_ontology(cfg)
     corpus = _load_corpus(cfg, o)
     table = _ic_table(cfg, o)
-    with open(cfg.bitscores_path, encoding="utf-8") as fh:
+    with open_input(cfg.bitscores_path) as fh:
         scores = benchmark.load_bitscores(fh)
 
     usable, skipped = _benchmark_pairs(scores, corpus)

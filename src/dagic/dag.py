@@ -22,11 +22,11 @@ as a reflexive ancestor; the anc_counts and desc_counts per term; and
 the ancestors/descendants set views. Only the gIC kernel in metrics
 reads anc_ptr and anc_idx directly.
 
-Packed n-bit rows exist in two places only, and neither outlives its
-function: build_ontology makes the lists from packed rows over one
-block of _ANC_BLOCK ancestor ids at a time (_ancestor_lists), and the
-all-terms gIC sweep (metrics.conditional_entropies_all) builds packed
-reflexive descendant rows for its walk.
+One kernel, _closure_rows, builds packed n-bit rows of the closure by
+ORing rows along the edges level by level (_level_steps), and no row
+outlives its caller: _ancestor_lists makes the lists from the ancestor
+rows of one block of _ANC_BLOCK ids at a time, and descendant_rows()
+builds the reflexive descendant rows that the all-terms gIC sweep walks.
 """
 
 from bisect import bisect_left
@@ -73,7 +73,7 @@ class Ontology:
     """
 
     def __init__(self, ids, edges, root_index, parent_ptr, child_idx, child_ptr,
-                 anc_ptr, anc_idx, depth):
+                 anc_ptr, anc_idx, depth, level):
         self.ids = ids                      # tuple[str], lexicographic
         self.edges = edges                  # (m, 2) intp rows (child, parent), sorted
         self.root_index = root_index
@@ -91,9 +91,10 @@ class Ontology:
         self.desc_counts = np.full(len(ids), -1, dtype=np.int64)
         np.add.at(self.desc_counts, anc_idx, 1)
         self.depth = depth                  # (n,) int64, min edge distance
+        self.level = level                  # (n,) int64, max edge distance
         for arr in (self.edges, self._parent_ptr, self._child_idx, self._child_ptr,
                     self.anc_ptr, self.anc_idx, self.anc_counts, self.desc_counts,
-                    self.depth):
+                    self.depth, self.level):
             arr.setflags(write=False)
         # element access from Python without numpy scalars, for under()
         self._ptr_view = memoryview(anc_ptr)
@@ -175,6 +176,14 @@ class Ontology:
             if k < end and anc[k] == a:
                 found.append(x)
         return found
+
+    def descendant_rows(self):
+        """Packed reflexive descendant rows, built on each call: bit x of
+        row a, an (n, w) uint64 array, is set when a is an ancestor of x."""
+        n = len(self)
+        parent = np.repeat(np.arange(n), np.diff(self._child_ptr))
+        steps = _level_steps(parent, self._child_idx, -self.level, _n_words(n))
+        return _closure_rows(n, steps, 0, n)
 
     def min_depth(self, term_id):
         """Minimum edge distance from the root (root has depth 0)."""
@@ -266,6 +275,7 @@ def build_ontology(terms, edges):
         remaining = set(range(n)) - set(topo)
         raise CycleDetected(ids[i] for i in _find_cycle(remaining, parents_of()))
 
+    level = np.array(level, dtype=np.int64)
     anc_ptr, anc_idx = _ancestor_lists(n, edge_idx, level)
     # single root + acyclicity already imply reachability; kept as a
     # guard because every metric assumes root \in Pi_t
@@ -283,6 +293,7 @@ def build_ontology(terms, edges):
         anc_ptr=anc_ptr,
         anc_idx=anc_idx,
         depth=np.array(depth, dtype=np.int64),
+        level=level,
     )
 
 
@@ -292,21 +303,16 @@ def _ancestor_lists(n, edges, level):
     parent's level is below its child's.
 
     The lists are built one block of _ANC_BLOCK ancestor ids at a time:
-    packed rows holding each term's ancestors inside the block start as
-    the terms' own bits and take the OR of their parents' rows level by
-    level, then their set bits are read out. Blocks run in ascending id
-    order, so each term's ancestors come out ascending once its runs
-    from the blocks are laid end to end.
+    the packed rows of each term's ancestors inside the block
+    (_closure_rows), whose set bits are then read out. Blocks run in
+    ascending id order, so each term's ancestors come out ascending once
+    its runs from the blocks are laid end to end.
     """
-    steps = _level_steps(edges, level, _n_words(min(n, _ANC_BLOCK)))
+    steps = _level_steps(*edges.T, level, _n_words(min(n, _ANC_BLOCK)))
     dtype = np.uint16 if n <= _NARROW_TERMS else np.int32
     runs, counts = [], np.zeros(n, dtype=np.int64)
     for b0 in range(0, n, _ANC_BLOCK):
-        own = np.arange(min(_ANC_BLOCK, n - b0))
-        rows = np.zeros((n, _n_words(len(own))), dtype=np.uint64)
-        rows[b0 + own, own >> 6] = np.uint64(1) << (own & 63).astype(np.uint64)
-        for child, parent in steps:
-            rows[child] |= rows[parent]
+        rows = _closure_rows(n, steps, b0, min(_ANC_BLOCK, n - b0))
         in_block = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
         runs.append((_set_bits(rows, in_block, b0, dtype), in_block))
         counts += in_block
@@ -325,28 +331,39 @@ def _ancestor_lists(n, edges, level):
     return ptr, idx
 
 
-def _level_steps(edges, level, words):
-    """The edges, (child, parent) pairs sorted by child, as (children,
-    parents) steps that are each applied as one `rows[children] |=
-    rows[parents]`: a step's children are of one level and distinct, so
-    a child's k-th parent comes in a later step than its first, and a
-    step gathers at most _CHUNK_BYTES of rows of `words` words. Steps go
-    by ascending level, so a parent's row is complete before it is read."""
-    if not len(edges):
+def _closure_rows(n, steps, first, width):
+    """(n, words) uint64 packed rows over the ids first .. first + width
+    - 1: each row starts as its own bit, if it has one there, and then
+    takes `rows[dst] |= rows[src]` for each (dst, src) step in turn."""
+    own = np.arange(width)
+    rows = np.zeros((n, _n_words(width)), dtype=np.uint64)
+    rows[first + own, own >> 6] = np.uint64(1) << (own & 63).astype(np.uint64)
+    for dst, src in steps:
+        rows[dst] |= rows[src]
+    return rows
+
+
+def _level_steps(dst, src, key, words):
+    """The (dst, src) pairs of two arrays, sorted by dst, as (dsts, srcs)
+    steps for _closure_rows: a step's dsts share one key and are
+    distinct, so a dst's k-th src comes in a later step than its first,
+    and a step gathers at most _CHUNK_BYTES of rows of `words` words.
+    Steps go by ascending key of dst, and every src's key is below its
+    dst's, so a src's row is complete before it is read."""
+    if not len(dst):
         return []
-    child, parent = edges.T
-    first = np.flatnonzero(np.diff(child, prepend=-1))  # each child's first edge
-    k = np.arange(len(child)) - np.repeat(first, np.diff(first, append=len(child)))
-    child_level = np.array(level)[child]
-    order = np.lexsort((k, child_level))
-    k, child_level = k[order], child_level[order]
-    cuts = (np.flatnonzero((np.diff(k) != 0) | (np.diff(child_level) != 0)) + 1).tolist()
+    first = np.flatnonzero(np.diff(dst, prepend=-1))  # each dst's first pair
+    k = np.arange(len(dst)) - np.repeat(first, np.diff(first, append=len(dst)))
+    dst_key = key[dst]
+    order = np.lexsort((k, dst_key))
+    k, dst_key = k[order], dst_key[order]
+    cuts = (np.flatnonzero((np.diff(k) != 0) | (np.diff(dst_key) != 0)) + 1).tolist()
     per_step = max(1, _CHUNK_BYTES // (8 * words))
     steps = []
     for start, stop in zip([0, *cuts], [*cuts, len(order)]):
         for lo in range(start, stop, per_step):
             take = order[lo:min(stop, lo + per_step)]
-            steps.append((child[take], parent[take]))
+            steps.append((dst[take], src[take]))
     return steps
 
 

@@ -4,6 +4,8 @@ Everything inherits from DagicError so callers (notably the CLI) can
 separate domain/validation failures from plain I/O errors.
 """
 
+from contextlib import contextmanager
+
 
 class DagicError(Exception):
     """Base class for all domain errors."""
@@ -49,23 +51,46 @@ class UnknownTerm(DagicError):
 
 # --- parsing ---
 
-class MalformedStanza(DagicError):
+class LineError(DagicError):
+    """An error at a line of an input; read as `path:line: message` once
+    open_input has set the path of the file, `line N: message` before."""
+    path = None
+
     def __init__(self, line_number, message):
         self.line_number = line_number
-        super().__init__(f"line {line_number}: {message}")
+        self.message = message
+        super().__init__(line_number, message)
+
+    def __str__(self):
+        if self.path is None:
+            return f"line {self.line_number}: {self.message}"
+        return f"{self.path}:{self.line_number}: {self.message}"
 
 
-class DuplicateTermId(DagicError):
+@contextmanager
+def open_input(path):
+    """The text file at path, read as strict UTF-8 (invalid bytes are an
+    error, never silently replaced); a LineError raised inside names it."""
+    with open(path, encoding="utf-8", errors="strict") as fh:
+        try:
+            yield fh
+        except LineError as exc:
+            exc.path = path
+            raise
+
+
+class MalformedStanza(LineError):
+    pass
+
+
+class DuplicateTermId(LineError):
     def __init__(self, term_id, line_number):
         self.term_id = term_id
-        self.line_number = line_number
-        super().__init__(f"line {line_number}: duplicate term id {term_id!r}")
+        super().__init__(line_number, f"duplicate term id {term_id!r}")
 
 
-class MalformedLine(DagicError):
-    def __init__(self, line_number, message):
-        self.line_number = line_number
-        super().__init__(f"line {line_number}: {message}")
+class MalformedLine(LineError):
+    pass
 
 
 class UnknownFormat(DagicError):
@@ -111,10 +136,9 @@ class NoDefinedCommonAncestor(DagicError):
 
 # --- benchmark ---
 
-class NegativeScore(DagicError):
+class NegativeScore(LineError):
     def __init__(self, line_number, score):
-        self.line_number = line_number
-        super().__init__(f"line {line_number}: negative bit score {score}")
+        super().__init__(line_number, f"negative bit score {score}")
 
 
 class MissingScore(DagicError):

@@ -149,10 +149,9 @@ def conditional_entropies_all(o, workers=1):
     _LANE_MAX new ancestors per block. A block sets its terms' tree
     parents' ancestor lists in one unpacked row per term; a term's own
     list entries left unset there are its new ancestors. Their rows of
-    the sweep's packed reflexive descendant rows (_descendant_rows,
-    built once and freed on return) are unpacked once to 0/1 bytes, and
-    each term adds its own rows to its parent's T in one uint8 reduce,
-    which cannot wrap.
+    o.descendant_rows() are unpacked once to 0/1 bytes, and each term
+    adds its own rows to its parent's T in one uint8 reduce, which
+    cannot wrap.
     A term with more new ancestors than a lane holds sits alone in its
     block and is summed lane by lane. The block's entropies come from
     one table lookup and one row sum (_entropy_rows). In preorder every
@@ -199,7 +198,7 @@ def conditional_entropies_all(o, workers=1):
         if block:
             yield block
 
-    desc = _descendant_rows(o)
+    desc = o.descendant_rows()
 
     def desc_lanes(new):
         lanes = np.unpackbits(desc[new].view(np.uint8), axis=1, bitorder="little")
@@ -253,23 +252,6 @@ def conditional_entropies_all(o, workers=1):
             for f in futures:
                 f.result()
     return out
-
-
-def _descendant_rows(o):
-    """Packed reflexive descendant rows: bit x of row a, an (n, w) uint64
-    array, is set when a is an ancestor of x. A strict ancestor has
-    fewer ancestors than its descendant, so taking the edges by
-    descending ancestor count of the parent ORs every child's row into
-    its parent's after the child's own row is complete."""
-    n = len(o)
-    rows = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
-    own = np.arange(n)
-    rows[own, own >> 6] = np.uint64(1) << (own & 63).astype(np.uint64)
-    # memoryviews, not lists: element access makes one int at a time
-    edges = o.edges[np.argsort(n - o.anc_counts[o.edges[:, 1]], kind="stable")]
-    for c, p in zip(memoryview(edges[:, 0]), memoryview(edges[:, 1])):
-        rows[p] |= rows[c]
-    return rows
 
 
 def _table(metric, o, raw, undefined=frozenset()):

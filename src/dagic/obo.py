@@ -8,7 +8,7 @@ and other non-[Term] stanzas are skipped wholesale.
 import logging
 from dataclasses import dataclass, field
 
-from .errors import DuplicateTermId, EmptyAfterFilter, MalformedStanza
+from .errors import DuplicateTermId, EmptyAfterFilter, MalformedStanza, open_input
 
 log = logging.getLogger(__name__)
 
@@ -126,8 +126,7 @@ def parse_obo(stream):
 
 
 def load_obo(path):
-    # invalid UTF-8 is an error, never silently replaced
-    with open(path, encoding="utf-8", errors="strict") as fh:
+    with open_input(path) as fh:
         return parse_obo(fh)
 
 

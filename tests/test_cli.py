@@ -290,6 +290,30 @@ def test_invalid_utf8_is_error(tmp_path):
     assert result.returncode == 1
 
 
+@pytest.mark.parametrize("argv, bad, body, error", [
+    (["entropy"], "x.obo", "[Term]\nid: X:0\n\n[Term]\nid: X:0\n",
+     "x.obo:4: duplicate term id 'X:0'"),
+    (["ic", "--metric", "ric", "--corpus", "c.tsv"], "c.tsv", "g1\tX:3\tIDA\n",
+     "c.tsv:1: expected 2 tab-separated columns, got 3"),
+    (["ic", "--metric", "ric", "--corpus", "c.gaf", "--corpus-format", "gaf"], "c.gaf",
+     "!gaf-version: 2.2\nDB\tg1\tx\n", "c.gaf:2: GAF line needs at least 5 columns, got 3"),
+    (["semsim", "--corpus", "c.tsv", "--pairs", "p.tsv"], "p.tsv", "g1\tg2\n\ng1\n",
+     "p.tsv:3: expected 2 tab-separated columns, got 1"),
+    (["benchmark", "--corpus", "c.tsv", "--bitscores", "b.tsv"], "b.tsv",
+     "g1\tg1\t9\ng1\tg2\t-5\n", "b.tsv:2: negative bit score -5.0"),
+], ids=["obo", "tsv", "gaf", "pairs", "bitscores"])
+def test_parse_error_names_file_and_line(tmp_path, monkeypatch, argv, bad, body, error):
+    """A malformed input of each kind ends in exit 2 and one error line
+    naming the file and the line, as a config file's errors do."""
+    inputs = {"x.obo": DIAMOND_OBO, "c.tsv": "g1\tX:3\ng2\tX:3\n", "p.tsv": "g1\tg2\n",
+              bad: body}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_in_process([*argv, "--obo", "x.obo"], monkeypatch)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
 # --- typed env and config-file values ---
 
 def _summary_config(out_dir):

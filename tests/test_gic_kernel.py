@@ -105,29 +105,26 @@ def test_root_conditional_is_total_entropy(spec):
     assert cond[o.root_index] == ontology_entropy(o).total_bits
 
 
-def test_more_new_ancestors_than_a_byte_lane_holds():
-    """z sits under the ends of two disjoint 260-term chains, so whichever
-    end is its tree parent, the other chain and z itself are new: more
-    rows than one uint8 lane can sum without wrapping."""
-    chains = [f"{c}{i:03d}" for c in "ab" for i in range(260)]
-    ids = ["r", *chains, "z", "z1"]
-    edges = [("a000", "r"), ("b000", "r"), ("z", "a259"), ("z", "b259"), ("z1", "z")]
-    edges += [(f"{c}{i:03d}", f"{c}{i - 1:03d}") for c in "ab" for i in range(1, 260)]
-    o = build_ontology(ids, edges)
-    for p in o.parents("z"):
-        assert len(o.ancestors("z") - o.ancestors(p)) > 255
-    expected = np.array([conditional_entropy_given(o, t) for t in o.ids])
-    for workers in (1, 2):
-        assert np.array_equal(conditional_entropies_all(o, workers=workers), expected)
-
-
 def two_chains():
-    """The DAG of test_more_new_ancestors_than_a_byte_lane_holds."""
+    """r with two disjoint 260-term chains below it, a and b; z sits
+    under both chains' ends, and z1 under z."""
     chains = [f"{c}{i:03d}" for c in "ab" for i in range(260)]
     ids = ["r", *chains, "z", "z1"]
     edges = [("a000", "r"), ("b000", "r"), ("z", "a259"), ("z", "b259"), ("z1", "z")]
     edges += [(f"{c}{i:03d}", f"{c}{i - 1:03d}") for c in "ab" for i in range(1, 260)]
     return build_ontology(ids, edges)
+
+
+def test_more_new_ancestors_than_a_byte_lane_holds():
+    """z sits under the ends of two disjoint 260-term chains, so whichever
+    end is its tree parent, the other chain and z itself are new: more
+    rows than one uint8 lane can sum without wrapping."""
+    o = two_chains()
+    for p in o.parents("z"):
+        assert len(o.ancestors("z") - o.ancestors(p)) > 255
+    expected = np.array([conditional_entropy_given(o, t) for t in o.ids])
+    for workers in (1, 2):
+        assert np.array_equal(conditional_entropies_all(o, workers=workers), expected)
 
 
 def assert_small_blocks_match(o, lanes):
