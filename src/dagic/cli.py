@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 I/O error, 2 validation/domain error.
 
 import argparse
 import gc
-import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -229,6 +228,8 @@ def _benchmark_pairs(scores, corpus):
 
 def cmd_benchmark(cfg, out):
     """RRBS vs SimMax benchmark"""
+    import json  # only this command writes JSON; other runs skip its import
+
     o = _load_ontology(cfg)
     corpus = _load_corpus(cfg, o)
     table = _ic_table(cfg, o)

@@ -528,6 +528,19 @@ def test_import_dagic_loads_no_numpy():
     assert run_python(code).split() == ["False", "True"]
 
 
+@pytest.mark.parametrize("workers, loaded", [("1", ["False", "False"]), ("2", ["True", "False"])])
+def test_gic_run_imports_thread_pool_only_for_workers(workers, loaded):
+    # concurrent.futures serves only a sweep dealt to several workers, and
+    # json only the benchmark command's summary
+    code = ("import contextlib, io, sys\n"
+            "from dagic import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['ic', '--obo', {OBO!r}, '--namespace', 'molecular_function',\n"
+            f"                     '--metric', 'gic', '--workers', {workers!r}]) == 0\n"
+            "print('concurrent.futures' in sys.modules, 'json' in sys.modules)\n")
+    assert run_python(code).split() == loaded
+
+
 def test_package_names_and_submodules_reachable():
     import dagic
     assert sorted(dagic.__all__) == sorted(EXPORTS)

@@ -40,6 +40,11 @@ def build(spec):
 # n04 hangs under n03 (three ancestors) while n02 adds itself; n05 then
 # takes n04 as tree parent and inherits that extra ancestor
 EXTRA_ANCESTOR = (6, [{0}, {0}, {1}, {2, 3}, {4}])
+# each kind of walk step: n05, a leaf under n03 alone, whose only new
+# ancestor is itself, takes the scalar step; n04, a leaf under n01 that
+# n02 also brings, reduces two rows; n02 and n03, inner terms whose only
+# new ancestor is themselves, each subtract one row with no reduce
+STEP_KINDS = (6, [{0}, {0}, {1}, {1, 2}, {3}])
 
 common = settings(max_examples=150, deadline=None)
 
@@ -47,6 +52,7 @@ common = settings(max_examples=150, deadline=None)
 @common
 @given(dags())
 @example(EXTRA_ANCESTOR)
+@example(STEP_KINDS)
 def test_walk_matches_brute_force(spec):
     o = build(spec)
     cond = conditional_entropies_all(o)
@@ -144,6 +150,7 @@ def assert_small_blocks_match(o, lanes):
 @common
 @given(dags())
 @example(EXTRA_ANCESTOR)
+@example(STEP_KINDS)
 def test_small_blocks_match_per_term(spec):
     assert_small_blocks_match(build(spec), lanes=(255, 2))
 
