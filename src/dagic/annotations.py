@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCorpus, MalformedLine, UnknownFormat, UnknownTerm
+from .errors import EmptyCorpus, MalformedLine, UnknownFormat, UnknownTerm, require_fields
 
 log = logging.getLogger(__name__)
 
@@ -33,8 +33,9 @@ def _parse_tsv(stream):
         if not line:
             continue
         cols = line.split("\t")
-        if len(cols) != 2 or not cols[0] or not cols[1]:
+        if len(cols) != 2:
             raise MalformedLine(lineno, f"expected 2 tab-separated columns, got {len(cols)}")
+        require_fields(lineno, cols, (1, 2))
         pairs.append((cols[0], cols[1]))
     return pairs
 
@@ -47,8 +48,9 @@ def _parse_gaf(stream):
         if not line or line.startswith("!"):
             continue
         cols = line.split("\t")
-        if len(cols) < 5 or not cols[1] or not cols[4]:
+        if len(cols) < 5:
             raise MalformedLine(lineno, f"GAF line needs at least 5 columns, got {len(cols)}")
+        require_fields(lineno, cols, (2, 5))
         if "NOT" in cols[3].split("|"):
             negated += 1
             continue

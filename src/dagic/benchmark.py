@@ -13,6 +13,7 @@ from .errors import (
     NegativeScore,
     TooFewBins,
     ZeroDenominator,
+    require_fields,
 )
 
 log = logging.getLogger(__name__)
@@ -34,6 +35,7 @@ def load_bitscores(stream):
         cols = line.split("\t")
         if len(cols) != 3:
             raise MalformedLine(lineno, f"expected 3 tab-separated columns, got {len(cols)}")
+        require_fields(lineno, cols, (1, 2, 3))
         try:
             score = float(cols[2])
         except ValueError:

@@ -22,11 +22,16 @@ as a reflexive ancestor; the anc_counts and desc_counts per term; and
 the ancestors/descendants set views. Only the gIC kernel in metrics
 reads anc_ptr and anc_idx directly.
 
-One kernel, _closure_rows, builds packed n-bit rows of the closure by
-ORing rows along the edges level by level (_level_steps), and no row
-outlives its caller: _ancestor_lists makes the lists from the ancestor
-rows of one block of _ANC_BLOCK ids at a time, and descendant_rows()
-builds the reflexive descendant rows that the all-terms gIC sweep walks.
+One kernel, _closure_rows, builds packed rows of the closure over one
+block of _ANC_BLOCK ids at a time, ORing rows along the edges level by
+level (_level_steps); a block is n rows of at most _ANC_BLOCK bits, so
+no n x n bit array exists above _ANC_BLOCK terms, and no block outlives
+its caller. _ancestor_lists reads the ancestor lists out of the blocks'
+set bits. descendant_store() gives the reflexive descendants that the
+all-terms gIC sweep walks, in two forms split by one rule, _is_wide: a
+packed n-bit row for each term with more than n / 64 of them (202 of
+GO's 40,000 terms, 1.0 MiB of rows), cut from the blocks, and a sorted
+list, read out of the blocks, for every other term.
 """
 
 from bisect import bisect_left
@@ -177,13 +182,22 @@ class Ontology:
                 found.append(x)
         return found
 
-    def descendant_rows(self):
-        """Packed reflexive descendant rows, built on each call: bit x of
-        row a, an (n, w) uint64 array, is set when a is an ancestor of x."""
+    def descendant_store(self):
+        """Every term's reflexive descendants, built on each call, in one
+        of two forms: (wide, rows, ptr, idx). wide, an (n,) bool array,
+        marks the terms that _is_wide gives packed rows; rows, a
+        (wide.sum(), w) uint64 array, holds them by ascending term index,
+        bit x of a term's row set when the term is an ancestor of x.
+        Every other term a has its descendants listed ascending in
+        idx[ptr[a]:ptr[a + 1]], of anc_idx's type; a wide term's list is
+        empty."""
         n = len(self)
+        wide = _is_wide(self.desc_counts + 1, n)
         parent = np.repeat(np.arange(n), np.diff(self._child_ptr))
-        steps = _level_steps(parent, self._child_idx, -self.level, _n_words(n))
-        return _closure_rows(n, steps, 0, n)
+        steps = _level_steps(parent, self._child_idx, -self.level,
+                             _n_words(min(n, _ANC_BLOCK)))
+        ptr, idx, rows = _closure_lists(n, steps, self.anc_idx.dtype, wide)
+        return wide, rows, ptr, idx
 
     def min_depth(self, term_id):
         """Minimum edge distance from the root (root has depth 0)."""
@@ -300,19 +314,32 @@ def build_ontology(terms, edges):
 def _ancestor_lists(n, edges, level):
     """CSR reflexive ancestor lists (ptr, idx) of the DAG with child ->
     parent edges, the sorted (child, parent) rows of an array, where every
-    parent's level is below its child's.
-
-    The lists are built one block of _ANC_BLOCK ancestor ids at a time:
-    the packed rows of each term's ancestors inside the block
-    (_closure_rows), whose set bits are then read out. Blocks run in
-    ascending id order, so each term's ancestors come out ascending once
-    its runs from the blocks are laid end to end.
-    """
+    parent's level is below its child's."""
     steps = _level_steps(*edges.T, level, _n_words(min(n, _ANC_BLOCK)))
     dtype = np.uint16 if n <= _NARROW_TERMS else np.int32
+    return _closure_lists(n, steps, dtype)[:2]
+
+
+def _closure_lists(n, steps, dtype, packed=None):
+    """(ptr, idx, rows): CSR lists of the closure that _closure_rows
+    builds from steps, their indices of type dtype, and the packed rows
+    of the terms that packed, an (n,) bool array or None, marks.
+
+    The lists are built one block of _ANC_BLOCK ids (a multiple of 64) at
+    a time: the packed rows of every term inside the block, whose words
+    go to a marked term's row and whose set bits are otherwise read out
+    (_set_bits). Blocks run in ascending id order, so each list comes out
+    ascending once its runs from the blocks are laid end to end. A
+    marked term's list is empty; rows is None without packed.
+    """
+    kept = None if packed is None else np.zeros((np.count_nonzero(packed), _n_words(n)),
+                                                 dtype=np.uint64)
     runs, counts = [], np.zeros(n, dtype=np.int64)
     for b0 in range(0, n, _ANC_BLOCK):
         rows = _closure_rows(n, steps, b0, min(_ANC_BLOCK, n - b0))
+        if packed is not None:
+            kept[:, b0 // _WORD:b0 // _WORD + rows.shape[1]] = rows[packed]
+            rows[packed] = 0
         in_block = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
         runs.append((_set_bits(rows, in_block, b0, dtype), in_block))
         counts += in_block
@@ -321,14 +348,22 @@ def _ancestor_lists(n, edges, level):
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])
     if len(runs) == 1:
-        return ptr, runs[0][0]
+        return ptr, runs[0][0], kept
     idx = np.empty(ptr[-1], dtype=dtype)
     free = ptr[:-1].copy()  # each term's next unfilled slot
     for run, in_block in runs:
         start = np.cumsum(in_block) - in_block
         idx[np.arange(len(run)) + np.repeat(free - start, in_block)] = run
         free += in_block
-    return ptr, idx
+    return ptr, idx, kept
+
+
+def _is_wide(sizes, n):
+    """Which of the terms with `sizes` reflexive descendants keep them as
+    a packed row of n bits rather than a list: those with more than
+    n / 64, where the row is the smaller form or close to it (Roaring
+    bitmaps switch from arrays to bitmaps near the same density)."""
+    return sizes * _WORD > n
 
 
 def _closure_rows(n, steps, first, width):
@@ -370,8 +405,9 @@ def _level_steps(dst, src, key, words):
 def _set_bits(rows, counts, base, dtype):
     """base plus the positions of the set bits of packed rows, counts[i]
     of them in row i, as a dtype array in row-major order. Rows are read
-    in chunks of about _CHUNK_BYTES // 64 set bits, and only a chunk's
-    nonzero words are unpacked, to at most _CHUNK_BYTES bytes."""
+    in chunks of about _CHUNK_BYTES // 64 set bits, and only the nonzero
+    bytes of a chunk's nonzero words are unpacked, to at most
+    _CHUNK_BYTES bytes."""
     ends = np.cumsum(counts)
     total = int(ends[-1])
     out = np.empty(total, dtype=dtype)
@@ -380,9 +416,12 @@ def _set_bits(rows, counts, base, dtype):
     bounds = sorted({0, len(rows), *cuts.tolist()})
     for r0, r1 in zip(bounds, bounds[1:]):
         words = rows[r0:r1].ravel()
-        at = np.flatnonzero(words)
-        bits = np.flatnonzero(np.unpackbits(words[at].view(np.uint8),
-                                            bitorder="little").view(bool))
+        # nonzero() finds the set entries of a bool array much faster
+        at = np.flatnonzero(words != 0)
+        octets = words[at].view(np.uint8)
+        on = np.flatnonzero(octets != 0)
+        bits = np.flatnonzero(np.unpackbits(octets[on], bitorder="little").view(bool))
+        bits = (on[bits >> 3] << 3) | (bits & 7)  # bit positions in words[at]
         got = at[bits >> 6] % rows.shape[1]
         got <<= 6
         got |= bits & (_WORD - 1)

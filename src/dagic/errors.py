@@ -93,6 +93,14 @@ class MalformedLine(LineError):
     pass
 
 
+def require_fields(line_number, cols, columns):
+    """Raise MalformedLine naming the first of the 1-based column
+    numbers whose field in cols is empty."""
+    for k in columns:
+        if not cols[k - 1]:
+            raise MalformedLine(line_number, f"column {k} is empty")
+
+
 class UnknownFormat(DagicError):
     def __init__(self, fmt):
         super().__init__(f"unknown annotation format {fmt!r} (expected 'tsv' or 'gaf')")

@@ -130,22 +130,59 @@ def _entropy_rows(o, zs, pairs, u, tab, logs=None):
 
 
 # a block of the walk holds at most _BLOCK_CELLS // n terms (at least
-# one), so its n-wide U and log2 rows stay a few hundred KiB
+# one), so its n-wide U and log2 rows stay a few hundred KiB; a window of
+# blocks lays out at most _BLOCK_CELLS scatter entries at once
 _BLOCK_CELLS = 2**15
 # new-ancestor rows per block and per uint8 reduce: a byte lane holds at
 # most 255 (a uint8 reduce runs about twice as fast as a uint16 one)
 _LANE_MAX = 255
 
 
-def _runs(ptr, counts):
+def _runs(ptr, counts, total):
     """Positions of the runs ptr[i] .. ptr[i] + counts[i] - 1 of a CSR
-    array, laid end to end, and the (len(ptr) + 1,) offsets of the runs
-    in that layout."""
+    array of total entries, laid end to end, and the (len(ptr) + 1,)
+    offsets of the runs in that layout. The positions are int32 while
+    the array's do fit in it."""
     at = np.zeros(len(ptr) + 1, dtype=np.int64)
     np.cumsum(counts, out=at[1:])
-    pos = np.arange(at[-1])
-    pos += np.repeat(ptr - at[:-1], counts)
+    dtype = np.int32 if total < 2**31 else np.int64
+    pos = np.arange(at[-1], dtype=dtype)
+    pos += np.repeat((ptr - at[:-1]).astype(dtype), counts)
     return pos, at
+
+
+def _new_ancestors(o, tp, comp, slot):
+    """The entries a of each term z's ancestor list, in list order, that
+    are missing from its tree parent tp[z]'s: those whose descendants
+    lack tp[z]. comp holds the complemented packed descendant rows of
+    the wide terms and then a row of ones, and slot[a] is a's row.
+
+    A wide a is tested at bit tp[z] of its row, one byte per list entry.
+    For a narrow a, the keys z * n + a of the narrow entries ascend, and
+    so do the keys of the parents' narrow entries relabelled to the
+    child z; anc(tp[z]) is inside anc(z), so one search finds every one
+    of the latter, and the narrow entries it misses are new."""
+    n, counts = len(o), o.anc_counts
+    row_bytes = comp.view(np.uint8).shape[1]
+    offset = slot.astype(np.int32 if comp.nbytes < 2**31 else np.int64) * row_bytes
+    offset = offset.take(o.anc_idx)
+    offset += np.repeat((tp >> 3).astype(offset.dtype), counts)
+    byte = comp.view(np.uint8).ravel().take(offset)
+    byte &= np.repeat(np.left_shift(1, tp & 7).astype(np.uint8), counts)
+    narrow = np.flatnonzero(offset >= (len(comp) - 1) * row_bytes)
+    del offset
+    narrow_ptr = np.searchsorted(narrow, o.anc_ptr)
+    narrow_counts = np.diff(narrow_ptr)
+    below = o.anc_idx.take(narrow)
+    keys = np.repeat(np.arange(0, n * n, n, dtype=np.int64), narrow_counts)
+    keys += below
+    inherited = np.repeat(np.arange(0, n * n, n, dtype=np.int64), narrow_counts[tp])
+    inherited += below.take(_runs(narrow_ptr[tp], narrow_counts[tp], len(narrow))[0])
+    found = np.zeros(len(narrow), dtype=np.uint8)
+    found[np.searchsorted(keys, inherited)] = 1
+    del keys, inherited
+    byte[narrow] = 1 - found
+    return o.anc_idx.compress(byte != 0)
 
 
 def conditional_entropies_all(o, workers=1):
@@ -159,24 +196,30 @@ def conditional_entropies_all(o, workers=1):
     U_z = U_p - sum of 1[x not in desc*(a)] over a in new(z) =
     anc(z) \\ anc(p), where desc* is the reflexive descendant set.
 
-    An entry a of z's ancestor list is new exactly when bit p of the
-    packed descendant row a (o.descendant_rows()) is clear, so one
-    gather over all the lists gives every term's new ancestors,
-    ascending. Each worker share lays its terms' ancestor and new lists
-    end to end in depth-first preorder of the tree and walks that order
-    in blocks of consecutive terms: at most _BLOCK_CELLS // n terms and
-    at most _LANE_MAX new rows per block, whose ancestor lists and new
-    rows are then contiguous slices. A block unpacks its complemented
-    new rows once to 0/1 bytes, and each term subtracts its own from its
-    parent's U: one row alone, or a uint8 reduce of several, which
-    cannot wrap. A leaf whose only new ancestor is itself takes
-    U_p - 1 and no row (its own entry is masked as an ancestor, and no
-    term inherits from it). A term with more new ancestors than a lane
-    holds sits alone in its block and is summed lane by lane. The
-    block's entropies come from one table lookup and one row sum
-    (_entropy_rows). In preorder every term's tree parent lies on the
-    path to the previous term, so only that path's U rows, at most one
-    per depth level, outlive a block.
+    The descendant sets come from o.descendant_store(): a packed row for
+    each wide term, kept complemented, and a sorted list for each narrow
+    one. One pass over the ancestor lists gives every term's new
+    ancestors, ascending (_new_ancestors).
+
+    Each worker share walks its terms in depth-first preorder of the
+    tree, in blocks of consecutive terms: at most _BLOCK_CELLS // n terms
+    and at most _LANE_MAX new ancestors per block. A term's lanes, the
+    byte rows that it subtracts, are the unpacked complemented rows of
+    its wide new ancestors and one lane per _LANE_MAX of its narrow ones,
+    which holds their number less how many of them are over x: a fill,
+    then a scatter of their descendant lists. A block unpacks all its
+    lanes at once, and each term subtracts its own from its parent's U:
+    one lane alone, or a uint8 reduce of several, which cannot wrap. A
+    leaf whose only new ancestor is itself takes U_p - 1 and no lane
+    (its own entry is masked as an ancestor, and no term inherits from
+    it). A term with more new ancestors than a lane holds sits alone in
+    its block and is summed a lane chunk at a time. The block's
+    entropies come from one table lookup and one row sum
+    (_entropy_rows). The share's ancestor lists and lanes are laid out
+    once, and its scatter entries a window of blocks at a time. In
+    preorder every term's tree parent lies on the path to the previous
+    term, so only that path's U rows, at most one per depth level,
+    outlive a block.
 
     Workers take whole subtrees of the root's tree children; every U is
     an exact integer vector and each row is summed alone, so the result
@@ -197,19 +240,22 @@ def conditional_entropies_all(o, workers=1):
     tp = np.full(n, root)
     tp[child[picks]] = parent[picks]
 
-    desc = o.descendant_rows()
-    # a in anc(z) is new when z's tree parent is not under it: one byte
-    # of descendant row a per list entry, tested at the parent's bit
-    byte = desc.view(np.uint8)[o.anc_idx, np.repeat((tp >> 3).astype(o.anc_idx.dtype), counts)]
-    byte &= np.repeat(np.left_shift(1, tp & 7).astype(np.uint8), counts)
-    new_idx = o.anc_idx[byte == 0]
-    del byte
+    wide, rows, desc_ptr, desc_idx = o.descendant_store()
+    desc_counts = np.diff(desc_ptr)
+    comp = np.full((len(rows) + 1, rows.shape[1]), ~np.uint64(0))
+    np.invert(rows, out=comp[:-1])
+    del rows
+    ones = len(comp) - 1
+    slot = np.full(n, ones, dtype=np.min_scalar_type(ones))
+    slot[wide] = np.arange(ones)
+    width = 64 * comp.shape[1]  # bytes of an unpacked row: n, then padding
+    new_idx = _new_ancestors(o, tp, comp, slot)
     # anc(p) is inside anc(z), so |anc(z) \\ anc(p)| is a difference
     new_counts = counts - counts[tp]
     new_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(new_counts, out=new_ptr[1:])
-    # rows each term subtracts: none for a leaf whose only new ancestor
-    # is itself
+    # new ancestors each term subtracts: none for a leaf whose only new
+    # ancestor is itself
     lane_counts = np.where((new_counts == 1) & (o.desc_counts == 0), 0, new_counts)
 
     tree_parent = tp.tolist()
@@ -218,6 +264,7 @@ def conditional_entropies_all(o, workers=1):
         if z != root:
             tree_children[p].append(z)
     per_block = max(1, _BLOCK_CELLS // n)
+    one = np.uint8(1)  # a uint8 scalar keeps np.subtract.at on its fast path
 
     def preorder(tops):
         order = []
@@ -228,66 +275,147 @@ def conditional_entropies_all(o, workers=1):
             order.append(z)
         return order
 
-    def blocks(rows):
-        # (start, stop) of each block of the preorder with `rows` new rows
-        # per term; a block closes before the term that would overfill it
+    def runs(values, most):
+        # (start, stop) of runs of at most `most` values that sum to at most
+        # _LANE_MAX; a run closes before the value that would overfill it
         start, used = 0, 0
-        for i, r in enumerate(rows):
-            if i > start and (i - start == per_block or used + r > _LANE_MAX):
+        for i, v in enumerate(values):
+            if i > start and (i - start == most or used + v > _LANE_MAX):
                 yield start, i
                 start, used = i, 0
-            used += r
-        yield start, len(rows)
+            used += v
+        yield start, len(values)
 
-    def desc_lanes(new):
-        rows = desc[new]
-        np.invert(rows, out=rows)
-        return np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")[:, :n]
+    def windows(bounds, scattered):
+        # runs of whole blocks with at most _BLOCK_CELLS scatter entries,
+        # or one block
+        first = 0
+        for k in range(1, len(bounds)):
+            if scattered[bounds[k][1]] - scattered[bounds[first][0]] > _BLOCK_CELLS:
+                yield bounds[first:k]
+                first = k
+        yield bounds[first:]
+
+    def lane_layout(zs, lanes_of, bounds):
+        """The lanes of the terms zs, in blocks: the comp row of each
+        lane and each term's first lane; each narrow lane's index from
+        its block's first, its count of narrow ancestors (uint8) and
+        each term's first narrow lane; and the narrow new ancestors,
+        each term's first, and each one's lane from its block's first."""
+        pos, new_at = _runs(new_ptr[zs], lanes_of, len(new_idx))
+        new = new_idx.take(pos)
+        heads = slot.take(new) != ones  # a wide new ancestor starts a lane ...
+        narrow = np.flatnonzero(~heads)
+        # ... and so does every _LANE_MAX-th narrow one of a term, from its
+        # first
+        narrow_at = np.searchsorted(narrow, new_at)
+        term = np.searchsorted(new_at, narrow, side="right") - 1
+        starts = np.flatnonzero((np.arange(len(narrow)) - narrow_at[term]) % _LANE_MAX == 0)
+        heads[narrow[starts]] = True
+        lane_at = np.zeros(len(new) + 1, dtype=np.int64)
+        np.cumsum(heads, out=lane_at[1:])
+        first = np.repeat([lane_at[new_at[b0]] for b0, _ in bounds],
+                          [b1 - b0 for b0, b1 in bounds])
+        lane = lane_at[narrow[starts]] - first[term[starts]]
+        group = np.zeros(len(narrow), dtype=np.intp)  # each narrow one's lane
+        group[starts] = 1
+        np.cumsum(group, out=group)
+        group -= 1
+        return (slot.take(new.compress(heads)), lane_at[new_at].tolist(), lane,
+                np.diff(starts, append=len(narrow)).astype(np.uint8),
+                np.searchsorted(starts, narrow_at).tolist(), starts,
+                new.take(narrow), narrow_at, lane[group])
 
     u_root = _second_term_counts(o) + (n - 2)
 
     def walk(tops):
         order = preorder(tops)
         zs = np.array(order, dtype=np.intp)
-        # the share's ancestor lists, their rows' positions in the
-        # preorder, and its new rows, each laid end to end in preorder
-        pos, anc_at = _runs(o.anc_ptr[zs], counts[zs])
-        anc = o.anc_idx[pos]
-        rank = np.repeat(np.arange(len(order), dtype=anc.dtype), counts[zs])
-        lanes_of = lane_counts[zs]
-        pos, new_at = _runs(new_ptr[zs], lanes_of)
-        new = new_idx[pos]
+        # the share's ancestor lists and the preorder positions of their
+        # rows, laid end to end
+        pos, anc_at = _runs(o.anc_ptr[zs], counts[zs], len(o.anc_idx))
+        anc = o.anc_idx.take(pos)
         del pos
-        anc_at, new_at, lanes_of = anc_at.tolist(), new_at.tolist(), lanes_of.tolist()
+        rank = np.repeat(np.arange(len(order), dtype=anc.dtype), counts[zs])
+        anc_at = anc_at.tolist()
+        lanes_of = lane_counts[zs]
+        bounds = list(runs(lanes_of.tolist(), per_block))
+        new_at = [0, *np.cumsum(lanes_of).tolist()]
+        (lane_rows, lane_at, fill_lane, fill, fill_at, starts, narrow, narrow_at,
+         narrow_lane) = lane_layout(zs, lanes_of, bounds)
+        # the scatter entries, lane * width + x for each descendant x of a
+        # narrow ancestor: each term's first, and each narrow lane's
+        sizes = desc_counts.take(narrow)
+        scattered = np.zeros(len(narrow) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=scattered[1:])
+        entry_at = scattered[np.append(starts, len(narrow))].tolist()
+        scattered = scattered[narrow_at]
+        top = (int(narrow_lane.max(initial=0)) + 1) * width
+        entry_type = np.int32 if top < 2**31 else np.int64
+
         path = [(root, u_root)]  # (term, U) from the root to the last term
         u_buf = np.empty((per_block, n), dtype=np.intp)
         logs_buf = np.empty((per_block, n))
-        for b0, b1 in blocks(lanes_of):
-            lo = new_at[b0]
-            block_new = new[lo:new_at[b1]]
-            lanes = desc_lanes(block_new) if 0 < len(block_new) <= _LANE_MAX else None
-            u = u_buf[:b1 - b0]
-            for i, u_z in enumerate(u, start=b0):
-                z = order[i]
-                while path[-1][0] != tree_parent[z]:
-                    path.pop()
-                src, start, stop = path[-1][1], new_at[i] - lo, new_at[i + 1] - lo
-                if start == stop:
-                    np.subtract(src, 1, out=u_z)
-                    continue  # a leaf: no term's tree parent
-                if stop - start == 1:
-                    np.subtract(src, lanes[start], out=u_z)
+        for group in windows(bounds, scattered.tolist()):
+            t0, t1 = group[0][0], group[-1][1]
+            m0, m1 = narrow_at[t0], narrow_at[t1]
+            pos = _runs(desc_ptr[narrow[m0:m1]], sizes[m0:m1], len(desc_idx))[0]
+            entries = np.repeat(narrow_lane[m0:m1].astype(entry_type) * width, sizes[m0:m1])
+            entries += desc_idx.take(pos)
+            del pos
+            base = scattered[t0]
+
+            def lanes(r0, r1, k0, k1, lo=0):
+                # the lanes r0 .. r1 - 1, with the narrow ones k0 .. k1 - 1
+                # among them; lo is the first one's index from its block's
+                # first
+                got = np.unpackbits(comp[lane_rows[r0:r1]].view(np.uint8), axis=1,
+                                    bitorder="little")
+                if k1 > k0:
+                    at, hits = fill_lane[k0:k1], entries[entry_at[k0] - base:entry_at[k1] - base]
+                    if lo:
+                        at, hits = at - lo, hits - lo * width
+                    got[at] = fill[k0:k1, None]
+                    np.subtract.at(got.reshape(-1), hits, one)
+                return got
+
+            for b0, b1 in group:
+                r0, k0 = lane_at[b0], fill_at[b0]
+                held = 0 < new_at[b1] - new_at[b0] <= _LANE_MAX
+                block = lanes(r0, lane_at[b1], k0, fill_at[b1]) if held else None
+                u = u_buf[:b1 - b0]
+                for i, u_z in enumerate(u, start=b0):
+                    z = order[i]
+                    while path[-1][0] != tree_parent[z]:
+                        path.pop()
+                    src, start, stop = path[-1][1], lane_at[i] - r0, lane_at[i + 1] - r0
+                    if start == stop:
+                        np.subtract(src, 1, out=u_z)
+                        continue  # a leaf: no term's tree parent
+                    if block is None:
+                        # alone in its block: a chunk of lanes at a time
+                        k1 = fill_at[b1]
+                        values = np.ones(stop, dtype=np.int64)
+                        values[fill_lane[k0:k1]] = fill[k0:k1]
+                        for c0, c1 in runs(values.tolist(), stop):
+                            c = k0 + np.searchsorted(fill_lane[k0:k1], [c0, c1])
+                            chunk = lanes(r0 + c0, r0 + c1, int(c[0]), int(c[1]), c0)
+                            np.subtract(src, np.add.reduce(chunk, axis=0, dtype=np.uint8)[:n],
+                                        out=u_z)
+                            src = u_z
+                    elif stop - start == 1:
+                        np.subtract(src, block[start, :n], out=u_z)
+                    else:
+                        np.subtract(src, np.add.reduce(block[start:stop], axis=0, dtype=np.uint8)[:n],
+                                    out=u_z)
+                    path.append((z, u_z))
+                if len(u_buf) == 1 and path[-1][1].base is u_buf:
+                    u_buf = np.empty_like(u_buf)  # the path keeps the old one
                 else:
-                    for c0 in range(start, stop, _LANE_MAX):
-                        c1 = min(c0 + _LANE_MAX, stop)
-                        chunk = desc_lanes(block_new[c0:c1]) if lanes is None else lanes[c0:c1]
-                        np.subtract(src, np.add.reduce(chunk, axis=0, dtype=np.uint8), out=u_z)
-                        src = u_z
-                path.append((z, u_z))
-            path = [(t, row.copy() if row.base is u_buf else row) for t, row in path]
-            a0, a1 = anc_at[b0], anc_at[b1]
-            pairs = rank[a0:a1] - b0, anc[a0:a1]
-            out[zs[b0:b1]] = _entropy_rows(o, zs[b0:b1], pairs, u, tab, logs_buf[:b1 - b0])
+                    path = [(t, row.copy() if row.base is u_buf else row) for t, row in path]
+                a0, a1 = anc_at[b0], anc_at[b1]
+                pairs = rank[a0:a1] - b0, anc[a0:a1]
+                out[zs[b0:b1]] = _entropy_rows(o, zs[b0:b1], pairs, u, tab, logs_buf[:b1 - b0])
 
     out[root] = _entropy_rows(o, [root], o.ancestor_pairs([root]), u_root[None, :], tab)[0]
     tops = tree_children[root]

@@ -314,6 +314,29 @@ def test_parse_error_names_file_and_line(tmp_path, monkeypatch, argv, bad, body,
     assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
+@pytest.mark.parametrize("argv, bad, body, error", [
+    (["ic", "--metric", "ric", "--corpus", "c.tsv"], "c.tsv", "g1\tX:3\ng2\t\n",
+     "c.tsv:2: column 2 is empty"),
+    (["semsim", "--corpus", "c.tsv", "--pairs", "p.tsv"], "p.tsv", "\tg2\n",
+     "p.tsv:1: column 1 is empty"),
+    (["ic", "--metric", "ric", "--corpus", "c.gaf", "--corpus-format", "gaf"], "c.gaf",
+     "!gaf-version: 2.2\n" + "\t".join(["DB", "", "g1", "", "X:3"] + [""] * 10) + "\n",
+     "c.gaf:2: column 2 is empty"),
+    (["benchmark", "--corpus", "c.tsv", "--bitscores", "b.tsv"], "b.tsv",
+     "g1\tg1\t9\ng1\t\t9\n", "b.tsv:2: column 2 is empty"),
+], ids=["tsv", "pairs", "gaf", "bitscores"])
+def test_empty_field_names_its_column(tmp_path, monkeypatch, argv, bad, body, error):
+    """A line with the right number of columns but an empty id ends in
+    exit 2 with an error that names the empty column."""
+    inputs = {"x.obo": DIAMOND_OBO, "c.tsv": "g1\tX:3\ng2\tX:3\n", "p.tsv": "g1\tg2\n",
+              bad: body}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_in_process([*argv, "--obo", "x.obo"], monkeypatch)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
 # --- typed env and config-file values ---
 
 def _summary_config(out_dir):

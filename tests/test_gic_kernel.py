@@ -3,7 +3,9 @@
 The walk hangs every term under one parent (a spanning tree) and adds
 the ancestors the other parents bring; the DAGs drawn here have
 multi-parent terms whose extra parents carry ancestors the tree parent
-lacks, so both halves of the update run.
+lacks, so both halves of the update run. On DAGs this small every term
+is wide (a packed descendant row), so the tests also force the wide rule
+to each extreme, and to a mix, to run the narrow terms' lists.
 """
 
 import itertools
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dagic import build_ontology, conditional_entropy_given, gic, ontology_entropy
+from dagic import build_ontology, conditional_entropy_given, dag, gic, ontology_entropy
 from dagic import metrics
 from dagic.metrics import conditional_entropies_all
 
@@ -48,6 +50,24 @@ STEP_KINDS = (6, [{0}, {0}, {1}, {1, 2}, {3}])
 
 common = settings(max_examples=150, deadline=None)
 
+# dag._is_wide forced to each extreme, and to a mix that puts wide and
+# narrow new ancestors side by side in one term's list
+WIDE_RULES = {
+    "every term wide": lambda sizes, n: np.ones(len(sizes), dtype=bool),
+    "every term narrow": lambda sizes, n: np.zeros(len(sizes), dtype=bool),
+    "odd sizes wide": lambda sizes, n: sizes % 2 == 1,
+}
+
+
+def under_each_wide_rule(run):
+    """run() under the real wide rule and under each of WIDE_RULES."""
+    results = [run()]
+    for rule in WIDE_RULES.values():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dag, "_is_wide", rule)
+            results.append(run())
+    return results
+
 
 @common
 @given(dags())
@@ -55,9 +75,11 @@ common = settings(max_examples=150, deadline=None)
 @example(STEP_KINDS)
 def test_walk_matches_brute_force(spec):
     o = build(spec)
-    cond = conditional_entropies_all(o)
+    results = under_each_wide_rule(lambda: conditional_entropies_all(o))
     for zi, z in enumerate(o.ids):
-        assert abs(cond[zi] - brute(o, z)) <= 1e-9
+        assert abs(results[0][zi] - brute(o, z)) <= 1e-9
+    for cond in results[1:]:
+        assert np.array_equal(cond, results[0])
 
 
 @common
@@ -113,10 +135,12 @@ def test_root_conditional_is_total_entropy(spec):
 
 def two_chains():
     """r with two disjoint 260-term chains below it, a and b; z sits
-    under both chains' ends, and z1 under z."""
+    under both chains' ends, z1 under z, and a leaf under each chain's
+    top, which the chain's other terms are not over."""
     chains = [f"{c}{i:03d}" for c in "ab" for i in range(260)]
-    ids = ["r", *chains, "z", "z1"]
-    edges = [("a000", "r"), ("b000", "r"), ("z", "a259"), ("z", "b259"), ("z1", "z")]
+    ids = ["r", *chains, "z", "z1", "sa", "sb"]
+    edges = [("a000", "r"), ("b000", "r"), ("z", "a259"), ("z", "b259"), ("z1", "z"),
+             ("sa", "a000"), ("sb", "b000")]
     edges += [(f"{c}{i:03d}", f"{c}{i - 1:03d}") for c in "ab" for i in range(1, 260)]
     return build_ontology(ids, edges)
 
@@ -124,27 +148,31 @@ def two_chains():
 def test_more_new_ancestors_than_a_byte_lane_holds():
     """z sits under the ends of two disjoint 260-term chains, so whichever
     end is its tree parent, the other chain and z itself are new: more
-    rows than one uint8 lane can sum without wrapping."""
+    rows than one uint8 lane can sum without wrapping, and, with every
+    term narrow, more narrow ancestors than one lane counts."""
     o = two_chains()
     for p in o.parents("z"):
         assert len(o.ancestors("z") - o.ancestors(p)) > 255
     expected = np.array([conditional_entropy_given(o, t) for t in o.ids])
     for workers in (1, 2):
-        assert np.array_equal(conditional_entropies_all(o, workers=workers), expected)
+        for got in under_each_wide_rule(lambda: conditional_entropies_all(o, workers=workers)):
+            assert np.array_equal(got, expected)
 
 
 def assert_small_blocks_match(o, lanes):
     """Blocks of 1-3 terms put tree parents in earlier blocks, so the
-    carried path rows are read; lanes below a term's new-ancestor count
-    make it sit alone and be summed lane by lane."""
+    carried path rows are read, and make windows of a few blocks; lanes
+    below a term's new-ancestor count make it sit alone and be summed
+    lane by lane. Each case runs under every wide rule."""
     expected = np.array([conditional_entropy_given(o, t) for t in o.ids])
     for terms, lane_max in itertools.product((1, 2, 3), lanes):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "_BLOCK_CELLS", terms * len(o))
             mp.setattr(metrics, "_LANE_MAX", lane_max)
             for workers in (1, 2):
-                got = conditional_entropies_all(o, workers=workers)
-                assert np.array_equal(got, expected), (terms, lane_max, workers)
+                for rule, got in enumerate(under_each_wide_rule(
+                        lambda: conditional_entropies_all(o, workers=workers))):
+                    assert np.array_equal(got, expected), (terms, lane_max, workers, rule)
 
 
 @common
