@@ -405,9 +405,8 @@ def _level_steps(dst, src, key, words):
 def _set_bits(rows, counts, base, dtype):
     """base plus the positions of the set bits of packed rows, counts[i]
     of them in row i, as a dtype array in row-major order. Rows are read
-    in chunks of about _CHUNK_BYTES // 64 set bits, and only the nonzero
-    bytes of a chunk's nonzero words are unpacked, to at most
-    _CHUNK_BYTES bytes."""
+    in chunks of about _CHUNK_BYTES // 64 set bits, and only a chunk's
+    nonzero words are unpacked, to at most _CHUNK_BYTES bytes."""
     ends = np.cumsum(counts)
     total = int(ends[-1])
     out = np.empty(total, dtype=dtype)
@@ -416,12 +415,9 @@ def _set_bits(rows, counts, base, dtype):
     bounds = sorted({0, len(rows), *cuts.tolist()})
     for r0, r1 in zip(bounds, bounds[1:]):
         words = rows[r0:r1].ravel()
-        # nonzero() finds the set entries of a bool array much faster
-        at = np.flatnonzero(words != 0)
-        octets = words[at].view(np.uint8)
-        on = np.flatnonzero(octets != 0)
-        bits = np.flatnonzero(np.unpackbits(octets[on], bitorder="little").view(bool))
-        bits = (on[bits >> 3] << 3) | (bits & 7)  # bit positions in words[at]
+        at = np.flatnonzero(words)
+        bits = np.flatnonzero(np.unpackbits(words[at].view(np.uint8),
+                                            bitorder="little").view(bool))
         got = at[bits >> 6] % rows.shape[1]
         got <<= 6
         got |= bits & (_WORD - 1)

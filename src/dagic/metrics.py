@@ -133,8 +133,8 @@ def _entropy_rows(o, zs, pairs, u, tab, logs=None):
 # one), so its n-wide U and log2 rows stay a few hundred KiB; a window of
 # blocks lays out at most _BLOCK_CELLS scatter entries at once
 _BLOCK_CELLS = 2**15
-# new-ancestor rows per block and per uint8 reduce: a byte lane holds at
-# most 255 (a uint8 reduce runs about twice as fast as a uint16 one)
+# new ancestors per block and lanes per uint8 reduce: a byte lane holds
+# at most 255 (a uint8 reduce runs about twice as fast as a uint16 one)
 _LANE_MAX = 255
 
 
@@ -201,25 +201,26 @@ def conditional_entropies_all(o, workers=1):
     one. One pass over the ancestor lists gives every term's new
     ancestors, ascending (_new_ancestors).
 
-    Each worker share walks its terms in depth-first preorder of the
-    tree, in blocks of consecutive terms: at most _BLOCK_CELLS // n terms
-    and at most _LANE_MAX new ancestors per block. A term's lanes, the
-    byte rows that it subtracts, are the unpacked complemented rows of
-    its wide new ancestors and one lane per _LANE_MAX of its narrow ones,
-    which holds their number less how many of them are over x: a fill,
-    then a scatter of their descendant lists. A block unpacks all its
-    lanes at once, and each term subtracts its own from its parent's U:
-    one lane alone, or a uint8 reduce of several, which cannot wrap. A
-    leaf whose only new ancestor is itself takes U_p - 1 and no lane
-    (its own entry is masked as an ancestor, and no term inherits from
-    it). A term with more new ancestors than a lane holds sits alone in
-    its block and is summed a lane chunk at a time. The block's
+    Each worker share lays its terms' ancestor and new lists end to end
+    in depth-first preorder of the tree and walks that order in blocks of
+    consecutive terms: at most _BLOCK_CELLS // n terms and at most
+    _LANE_MAX new ancestors per block, whose ancestor lists and new
+    ancestors are then contiguous slices. A term's lanes are the byte rows
+    it subtracts: 1[x not in desc*(a)] for each wide new ancestor a, the
+    unpacked complemented row, and one lane for all its narrow ones, their
+    number less how many of them are over x (a fill, then a scatter of
+    their descendant lists). A block unpacks all its lanes at once, and
+    each term subtracts its own from its parent's U: one lane alone, or a
+    uint8 reduce of several, which cannot wrap. A leaf whose only new
+    ancestor is itself takes U_p - 1 and no lane (its own entry is masked
+    as an ancestor, and no term inherits from it). A term with more new
+    ancestors than a byte holds sits alone in its block, takes one lane
+    per narrow new ancestor, and is summed lane by lane. The block's
     entropies come from one table lookup and one row sum
-    (_entropy_rows). The share's ancestor lists and lanes are laid out
-    once, and its scatter entries a window of blocks at a time. In
-    preorder every term's tree parent lies on the path to the previous
-    term, so only that path's U rows, at most one per depth level,
-    outlive a block.
+    (_entropy_rows). The scatter entries are laid out a window of blocks
+    at a time. In preorder every term's tree parent lies on the path to
+    the previous term, so only that path's U rows, at most one per depth
+    level, outlive a block.
 
     Workers take whole subtrees of the root's tree children; every U is
     an exact integer vector and each row is summed alone, so the result
@@ -254,8 +255,8 @@ def conditional_entropies_all(o, workers=1):
     new_counts = counts - counts[tp]
     new_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(new_counts, out=new_ptr[1:])
-    # new ancestors each term subtracts: none for a leaf whose only new
-    # ancestor is itself
+    # new ancestors whose lanes each term subtracts: none for a leaf whose
+    # only new ancestor is itself
     lane_counts = np.where((new_counts == 1) & (o.desc_counts == 0), 0, new_counts)
 
     tree_parent = tp.tolist()
@@ -275,16 +276,17 @@ def conditional_entropies_all(o, workers=1):
             order.append(z)
         return order
 
-    def runs(values, most):
-        # (start, stop) of runs of at most `most` values that sum to at most
-        # _LANE_MAX; a run closes before the value that would overfill it
+    def blocks(news):
+        # (start, stop) of each block of the preorder with `news` new
+        # ancestors per term; a block closes before the term that would
+        # overfill it
         start, used = 0, 0
-        for i, v in enumerate(values):
-            if i > start and (i - start == most or used + v > _LANE_MAX):
+        for i, r in enumerate(news):
+            if i > start and (i - start == per_block or used + r > _LANE_MAX):
                 yield start, i
                 start, used = i, 0
-            used += v
-        yield start, len(values)
+            used += r
+        yield start, len(news)
 
     def windows(bounds, scattered):
         # runs of whole blocks with at most _BLOCK_CELLS scatter entries,
@@ -296,110 +298,98 @@ def conditional_entropies_all(o, workers=1):
                 first = k
         yield bounds[first:]
 
-    def lane_layout(zs, lanes_of, bounds):
-        """The lanes of the terms zs, in blocks: the comp row of each
-        lane and each term's first lane; each narrow lane's index from
-        its block's first, its count of narrow ancestors (uint8) and
-        each term's first narrow lane; and the narrow new ancestors,
-        each term's first, and each one's lane from its block's first."""
-        pos, new_at = _runs(new_ptr[zs], lanes_of, len(new_idx))
-        new = new_idx.take(pos)
-        heads = slot.take(new) != ones  # a wide new ancestor starts a lane ...
-        narrow = np.flatnonzero(~heads)
-        # ... and so does every _LANE_MAX-th narrow one of a term, from its
-        # first
-        narrow_at = np.searchsorted(narrow, new_at)
-        term = np.searchsorted(new_at, narrow, side="right") - 1
-        starts = np.flatnonzero((np.arange(len(narrow)) - narrow_at[term]) % _LANE_MAX == 0)
-        heads[narrow[starts]] = True
-        lane_at = np.zeros(len(new) + 1, dtype=np.int64)
-        np.cumsum(heads, out=lane_at[1:])
-        first = np.repeat([lane_at[new_at[b0]] for b0, _ in bounds],
-                          [b1 - b0 for b0, b1 in bounds])
-        lane = lane_at[narrow[starts]] - first[term[starts]]
-        group = np.zeros(len(narrow), dtype=np.intp)  # each narrow one's lane
-        group[starts] = 1
-        np.cumsum(group, out=group)
-        group -= 1
-        return (slot.take(new.compress(heads)), lane_at[new_at].tolist(), lane,
-                np.diff(starts, append=len(narrow)).astype(np.uint8),
-                np.searchsorted(starts, narrow_at).tolist(), starts,
-                new.take(narrow), narrow_at, lane[group])
-
     u_root = _second_term_counts(o) + (n - 2)
 
     def walk(tops):
         order = preorder(tops)
         zs = np.array(order, dtype=np.intp)
-        # the share's ancestor lists and the preorder positions of their
-        # rows, laid end to end
+        # the share's ancestor lists, their rows' positions in the
+        # preorder, and its new ancestors, each laid end to end in preorder
         pos, anc_at = _runs(o.anc_ptr[zs], counts[zs], len(o.anc_idx))
         anc = o.anc_idx.take(pos)
-        del pos
         rank = np.repeat(np.arange(len(order), dtype=anc.dtype), counts[zs])
-        anc_at = anc_at.tolist()
         lanes_of = lane_counts[zs]
-        bounds = list(runs(lanes_of.tolist(), per_block))
-        new_at = [0, *np.cumsum(lanes_of).tolist()]
-        (lane_rows, lane_at, fill_lane, fill, fill_at, starts, narrow, narrow_at,
-         narrow_lane) = lane_layout(zs, lanes_of, bounds)
+        pos, new_at = _runs(new_ptr[zs], lanes_of, len(new_idx))
+        new = new_idx.take(pos)
+        del pos
+        bounds = list(blocks(lanes_of.tolist()))
+        # a new ancestor starts a lane if it is wide, its term's first
+        # narrow one, or a narrow one of a term summed lane by lane
+        heads = slot.take(new) != ones
+        narrow = np.flatnonzero(~heads)
+        term = np.searchsorted(new_at, narrow, side="right") - 1
+        starts = (np.diff(term, prepend=-1) != 0) | (lanes_of.take(term) > _LANE_MAX)
+        heads[narrow[starts]] = True
+        lane_at = np.zeros(len(new) + 1, dtype=np.int64)
+        np.cumsum(heads, out=lane_at[1:])
+        lane_rows = slot.take(new.compress(heads))  # each lane's comp row
+        # the narrow lanes: each one's index from its block's first lane
+        # and its number of narrow new ancestors, each term's first narrow
+        # lane, and each narrow new ancestor's lane
+        b0s = [b0 for b0, _ in bounds]
+        first = np.repeat(lane_at[new_at[b0s]], np.diff(b0s, append=len(order)))
+        lane = lane_at.take(narrow.compress(starts)) - first.take(term.compress(starts))
+        narrow_lane = lane.take(np.cumsum(starts) - 1)
+        starts = np.flatnonzero(starts)
+        fill = np.diff(starts, append=len(narrow)).astype(np.uint8)
+        fill_at = np.searchsorted(term.take(starts), np.arange(len(order) + 1)).tolist()
         # the scatter entries, lane * width + x for each descendant x of a
-        # narrow ancestor: each term's first, and each narrow lane's
+        # narrow new ancestor, and each narrow lane's first
+        narrow = new.take(narrow)
         sizes = desc_counts.take(narrow)
         scattered = np.zeros(len(narrow) + 1, dtype=np.int64)
         np.cumsum(sizes, out=scattered[1:])
-        entry_at = scattered[np.append(starts, len(narrow))].tolist()
-        scattered = scattered[narrow_at]
-        top = (int(narrow_lane.max(initial=0)) + 1) * width
-        entry_type = np.int32 if top < 2**31 else np.int64
+        starts = np.append(starts, len(narrow)).tolist()
+        hit_at = scattered.take(starts).tolist()
+        entry_type = np.int32 if (int(lane.max(initial=0)) + 1) * width < 2**31 else np.int64
+        lane_at = lane_at.take(new_at).tolist()  # each term's first lane
+        anc_at, new_at = anc_at.tolist(), new_at.tolist()
 
         path = [(root, u_root)]  # (term, U) from the root to the last term
         u_buf = np.empty((per_block, n), dtype=np.intp)
         logs_buf = np.empty((per_block, n))
-        for group in windows(bounds, scattered.tolist()):
-            t0, t1 = group[0][0], group[-1][1]
-            m0, m1 = narrow_at[t0], narrow_at[t1]
-            pos = _runs(desc_ptr[narrow[m0:m1]], sizes[m0:m1], len(desc_idx))[0]
-            entries = np.repeat(narrow_lane[m0:m1].astype(entry_type) * width, sizes[m0:m1])
-            entries += desc_idx.take(pos)
+        for group in windows(bounds, [hit_at[j] for j in fill_at]):
+            k0, k1 = fill_at[group[0][0]], fill_at[group[-1][1]]
+            e0, e1 = starts[k0], starts[k1]
+            pos = _runs(desc_ptr.take(narrow[e0:e1]), sizes[e0:e1], len(desc_idx))[0]
+            hits = np.repeat(narrow_lane[e0:e1].astype(entry_type) * width, sizes[e0:e1])
+            hits += desc_idx.take(pos)
             del pos
-            base = scattered[t0]
+            base = hit_at[k0]
 
-            def lanes(r0, r1, k0, k1, lo=0):
-                # the lanes r0 .. r1 - 1, with the narrow ones k0 .. k1 - 1
-                # among them; lo is the first one's index from its block's
-                # first
+            def lanes(r0, r1, j0, j1, lo=0):
+                # the unpacked lanes r0 .. r1 - 1 of the share, with the
+                # narrow lanes j0 .. j1 - 1 among them; lo is the first
+                # one's index from its block's first
                 got = np.unpackbits(comp[lane_rows[r0:r1]].view(np.uint8), axis=1,
                                     bitorder="little")
-                if k1 > k0:
-                    at, hits = fill_lane[k0:k1], entries[entry_at[k0] - base:entry_at[k1] - base]
+                if j1 > j0:
+                    at, hit = lane[j0:j1], hits[hit_at[j0] - base:hit_at[j1] - base]
                     if lo:
-                        at, hits = at - lo, hits - lo * width
-                    got[at] = fill[k0:k1, None]
-                    np.subtract.at(got.reshape(-1), hits, one)
+                        at, hit = at - lo, hit - lo * width
+                    got[at] = fill[j0:j1, None]
+                    np.subtract.at(got.reshape(-1), hit, one)
                 return got
 
             for b0, b1 in group:
-                r0, k0 = lane_at[b0], fill_at[b0]
+                lo, j0, j1 = lane_at[b0], fill_at[b0], fill_at[b1]
                 held = 0 < new_at[b1] - new_at[b0] <= _LANE_MAX
-                block = lanes(r0, lane_at[b1], k0, fill_at[b1]) if held else None
+                block = lanes(lo, lane_at[b1], j0, j1) if held else None
                 u = u_buf[:b1 - b0]
                 for i, u_z in enumerate(u, start=b0):
                     z = order[i]
                     while path[-1][0] != tree_parent[z]:
                         path.pop()
-                    src, start, stop = path[-1][1], lane_at[i] - r0, lane_at[i + 1] - r0
+                    src, start, stop = path[-1][1], lane_at[i] - lo, lane_at[i + 1] - lo
                     if start == stop:
                         np.subtract(src, 1, out=u_z)
                         continue  # a leaf: no term's tree parent
                     if block is None:
-                        # alone in its block: a chunk of lanes at a time
-                        k1 = fill_at[b1]
-                        values = np.ones(stop, dtype=np.int64)
-                        values[fill_lane[k0:k1]] = fill[k0:k1]
-                        for c0, c1 in runs(values.tolist(), stop):
-                            c = k0 + np.searchsorted(fill_lane[k0:k1], [c0, c1])
-                            chunk = lanes(r0 + c0, r0 + c1, int(c[0]), int(c[1]), c0)
+                        # alone in its block: _LANE_MAX lanes at a time
+                        for c0 in range(start, stop, _LANE_MAX):
+                            c1 = min(c0 + _LANE_MAX, stop)
+                            c = j0 + np.searchsorted(lane[j0:j1], (c0, c1))
+                            chunk = lanes(lo + c0, lo + c1, int(c[0]), int(c[1]), c0)
                             np.subtract(src, np.add.reduce(chunk, axis=0, dtype=np.uint8)[:n],
                                         out=u_z)
                             src = u_z
