@@ -45,7 +45,6 @@ from .errors import (
     NoRoot,
     UnknownTerm,
     UnknownTermInEdge,
-    UnreachableTerms,
 )
 
 _WORD = 64
@@ -288,14 +287,12 @@ def build_ontology(terms, edges):
     if len(topo) < n:
         remaining = set(range(n)) - set(topo)
         raise CycleDetected(ids[i] for i in _find_cycle(remaining, parents_of()))
+    # the loop takes only the root and children of terms it took, so all
+    # n taken means every term lies under the root: the root is in every
+    # ancestor list, as every metric assumes
 
     level = np.array(level, dtype=np.int64)
     anc_ptr, anc_idx = _ancestor_lists(n, edge_idx, level)
-    # single root + acyclicity already imply reachability; kept as a
-    # guard because every metric assumes root \in Pi_t
-    with_root = np.searchsorted(anc_ptr, np.flatnonzero(anc_idx == root), side="right") - 1
-    if len(with_root) < n:
-        raise UnreachableTerms(ids[i] for i in np.setdiff1d(np.arange(n), with_root))
 
     return Ontology(
         ids=ids,

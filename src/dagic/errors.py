@@ -37,12 +37,6 @@ class UnknownTermInEdge(DagicError):
         super().__init__(f"edge {edge[0]} -> {edge[1]} references unknown term {term!r}")
 
 
-class UnreachableTerms(DagicError):
-    def __init__(self, terms):
-        self.terms = sorted(terms)
-        super().__init__(f"terms unreachable from root: {', '.join(self.terms)}")
-
-
 class UnknownTerm(DagicError):
     def __init__(self, term):
         self.term = term

@@ -133,8 +133,9 @@ def _entropy_rows(o, zs, pairs, u, tab, logs=None):
 # one), so its n-wide U and log2 rows stay a few hundred KiB; a window of
 # blocks lays out at most _BLOCK_CELLS scatter entries at once
 _BLOCK_CELLS = 2**15
-# new ancestors per block and lanes per uint8 reduce: a byte lane holds
-# at most 255 (a uint8 reduce runs about twice as fast as a uint16 one)
+# new ancestors per step and per block, and lanes per uint8 reduce: a
+# byte lane holds at most 255 (a uint8 reduce runs about twice as fast as
+# a uint16 one)
 _LANE_MAX = 255
 
 
@@ -201,26 +202,29 @@ def conditional_entropies_all(o, workers=1):
     one. One pass over the ancestor lists gives every term's new
     ancestors, ascending (_new_ancestors).
 
-    Each worker share lays its terms' ancestor and new lists end to end
-    in depth-first preorder of the tree and walks that order in blocks of
-    consecutive terms: at most _BLOCK_CELLS // n terms and at most
-    _LANE_MAX new ancestors per block, whose ancestor lists and new
-    ancestors are then contiguous slices. A term's lanes are the byte rows
-    it subtracts: 1[x not in desc*(a)] for each wide new ancestor a, the
-    unpacked complemented row, and one lane for all its narrow ones, their
-    number less how many of them are over x (a fill, then a scatter of
-    their descendant lists). A block unpacks all its lanes at once, and
-    each term subtracts its own from its parent's U: one lane alone, or a
+    Each worker share takes its terms in depth-first preorder of the tree
+    and cuts each term's new ancestors into consecutive steps of at most
+    _LANE_MAX, as many as a term needs and at least one. A term's first
+    step starts from its tree parent's U and each later one from its
+    previous step's, so a step before a term's last holds exactly
+    _LANE_MAX. The share lays its steps' ancestor and new lists end to
+    end and walks them in blocks of consecutive steps: at most
+    _BLOCK_CELLS // n steps and at most _LANE_MAX new ancestors per
+    block, whose ancestor lists and new ancestors are then contiguous
+    slices. A step's lanes are the byte rows it subtracts:
+    1[x not in desc*(a)] for each wide new ancestor a, the unpacked
+    complemented row, and one lane for all its narrow ones, their number
+    less how many of them are over x (a fill, then a scatter of their
+    descendant lists). A block unpacks all its lanes at once, and each
+    step subtracts its own from its source's U: one lane alone, or a
     uint8 reduce of several, which cannot wrap. A leaf whose only new
     ancestor is itself takes U_p - 1 and no lane (its own entry is masked
-    as an ancestor, and no term inherits from it). A term with more new
-    ancestors than a byte holds sits alone in its block, takes one lane
-    per narrow new ancestor, and is summed lane by lane. The block's
-    entropies come from one table lookup and one row sum
-    (_entropy_rows). The scatter entries are laid out a window of blocks
-    at a time. In preorder every term's tree parent lies on the path to
-    the previous term, so only that path's U rows, at most one per depth
-    level, outlive a block.
+    as an ancestor, and no term inherits from it). The block's entropies
+    come from one table lookup and one row sum (_entropy_rows); a term's
+    last step sets its value. The scatter entries are laid out a window
+    of blocks at a time. In preorder every step's source lies on the path
+    to the previous step, so only that path's U rows, one per step on it,
+    outlive a block.
 
     Workers take whole subtrees of the root's tree children; every U is
     an exact integer vector and each row is summed alone, so the result
@@ -259,9 +263,8 @@ def conditional_entropies_all(o, workers=1):
     # only new ancestor is itself
     lane_counts = np.where((new_counts == 1) & (o.desc_counts == 0), 0, new_counts)
 
-    tree_parent = tp.tolist()
     tree_children = [[] for _ in range(n)]
-    for z, p in enumerate(tree_parent):
+    for z, p in enumerate(tp.tolist()):
         if z != root:
             tree_children[p].append(z)
     per_block = max(1, _BLOCK_CELLS // n)
@@ -277,8 +280,8 @@ def conditional_entropies_all(o, workers=1):
         return order
 
     def blocks(news):
-        # (start, stop) of each block of the preorder with `news` new
-        # ancestors per term; a block closes before the term that would
+        # (start, stop) of each block of the steps with `news` new
+        # ancestors per step; a block closes before the step that would
         # overfill it
         start, used = 0, 0
         for i, r in enumerate(news):
@@ -302,37 +305,44 @@ def conditional_entropies_all(o, workers=1):
 
     def walk(tops):
         order = preorder(tops)
-        zs = np.array(order, dtype=np.intp)
-        # the share's ancestor lists, their rows' positions in the
-        # preorder, and its new ancestors, each laid end to end in preorder
+        # step k of a term walks its lanes from k * _LANE_MAX on, starting
+        # from its tree parent's row if k is 0 and its own otherwise
+        term_lanes = lane_counts[order]
+        steps = np.maximum(1, -(-term_lanes // _LANE_MAX))
+        zs = np.repeat(np.array(order, dtype=np.intp), steps)
+        k = np.arange(len(zs)) - np.repeat(np.cumsum(steps) - steps, steps)
+        lanes_of = np.minimum(np.repeat(term_lanes, steps) - k * _LANE_MAX, _LANE_MAX)
+        terms, source = zs.tolist(), np.where(k == 0, tp[zs], zs).tolist()
+        # the steps' ancestor lists, their rows' positions among the steps
+        # (which can outnumber the terms), and their new ancestors, each
+        # laid end to end
         pos, anc_at = _runs(o.anc_ptr[zs], counts[zs], len(o.anc_idx))
         anc = o.anc_idx.take(pos)
-        rank = np.repeat(np.arange(len(order), dtype=anc.dtype), counts[zs])
-        lanes_of = lane_counts[zs]
-        pos, new_at = _runs(new_ptr[zs], lanes_of, len(new_idx))
+        rank = np.repeat(np.arange(len(zs), dtype=np.min_scalar_type(len(zs))), counts[zs])
+        pos, new_at = _runs(new_ptr[zs] + k * _LANE_MAX, lanes_of, len(new_idx))
         new = new_idx.take(pos)
-        del pos
+        del pos, k
         bounds = list(blocks(lanes_of.tolist()))
-        # a new ancestor starts a lane if it is wide, its term's first
-        # narrow one, or a narrow one of a term summed lane by lane
+        # a new ancestor starts a lane if it is wide or its step's first
+        # narrow one
         heads = slot.take(new) != ones
         narrow = np.flatnonzero(~heads)
-        term = np.searchsorted(new_at, narrow, side="right") - 1
-        starts = (np.diff(term, prepend=-1) != 0) | (lanes_of.take(term) > _LANE_MAX)
+        step = np.searchsorted(new_at, narrow, side="right") - 1
+        starts = np.diff(step, prepend=-1) != 0
         heads[narrow[starts]] = True
         lane_at = np.zeros(len(new) + 1, dtype=np.int64)
         np.cumsum(heads, out=lane_at[1:])
         lane_rows = slot.take(new.compress(heads))  # each lane's comp row
         # the narrow lanes: each one's index from its block's first lane
-        # and its number of narrow new ancestors, each term's first narrow
+        # and its number of narrow new ancestors, each step's first narrow
         # lane, and each narrow new ancestor's lane
         b0s = [b0 for b0, _ in bounds]
-        first = np.repeat(lane_at[new_at[b0s]], np.diff(b0s, append=len(order)))
-        lane = lane_at.take(narrow.compress(starts)) - first.take(term.compress(starts))
+        first = np.repeat(lane_at[new_at[b0s]], np.diff(b0s, append=len(zs)))
+        lane = lane_at.take(narrow.compress(starts)) - first.take(step.compress(starts))
         narrow_lane = lane.take(np.cumsum(starts) - 1)
         starts = np.flatnonzero(starts)
         fill = np.diff(starts, append=len(narrow)).astype(np.uint8)
-        fill_at = np.searchsorted(term.take(starts), np.arange(len(order) + 1)).tolist()
+        fill_at = np.searchsorted(step.take(starts), np.arange(len(zs) + 1)).tolist()
         # the scatter entries, lane * width + x for each descendant x of a
         # narrow new ancestor, and each narrow lane's first
         narrow = new.take(narrow)
@@ -342,10 +352,10 @@ def conditional_entropies_all(o, workers=1):
         starts = np.append(starts, len(narrow)).tolist()
         hit_at = scattered.take(starts).tolist()
         entry_type = np.int32 if (int(lane.max(initial=0)) + 1) * width < 2**31 else np.int64
-        lane_at = lane_at.take(new_at).tolist()  # each term's first lane
-        anc_at, new_at = anc_at.tolist(), new_at.tolist()
+        lane_at = lane_at.take(new_at).tolist()  # each step's first lane
+        anc_at = anc_at.tolist()
 
-        path = [(root, u_root)]  # (term, U) from the root to the last term
+        path = [(root, u_root)]  # (term, U) from the root to the last step
         u_buf = np.empty((per_block, n), dtype=np.intp)
         logs_buf = np.empty((per_block, n))
         for group in windows(bounds, [hit_at[j] for j in fill_at]):
@@ -356,55 +366,37 @@ def conditional_entropies_all(o, workers=1):
             hits += desc_idx.take(pos)
             del pos
             base = hit_at[k0]
-
-            def lanes(r0, r1, j0, j1, lo=0):
-                # the unpacked lanes r0 .. r1 - 1 of the share, with the
-                # narrow lanes j0 .. j1 - 1 among them; lo is the first
-                # one's index from its block's first
-                got = np.unpackbits(comp[lane_rows[r0:r1]].view(np.uint8), axis=1,
-                                    bitorder="little")
-                if j1 > j0:
-                    at, hit = lane[j0:j1], hits[hit_at[j0] - base:hit_at[j1] - base]
-                    if lo:
-                        at, hit = at - lo, hit - lo * width
-                    got[at] = fill[j0:j1, None]
-                    np.subtract.at(got.reshape(-1), hit, one)
-                return got
-
             for b0, b1 in group:
                 lo, j0, j1 = lane_at[b0], fill_at[b0], fill_at[b1]
-                held = 0 < new_at[b1] - new_at[b0] <= _LANE_MAX
-                block = lanes(lo, lane_at[b1], j0, j1) if held else None
+                block = np.unpackbits(comp[lane_rows[lo:lane_at[b1]]].view(np.uint8), axis=1,
+                                      bitorder="little")
+                if j1 > j0:
+                    block[lane[j0:j1]] = fill[j0:j1, None]
+                    np.subtract.at(block.reshape(-1), hits[hit_at[j0] - base:hit_at[j1] - base],
+                                   one)
                 u = u_buf[:b1 - b0]
                 for i, u_z in enumerate(u, start=b0):
-                    z = order[i]
-                    while path[-1][0] != tree_parent[z]:
+                    while path[-1][0] != source[i]:
                         path.pop()
                     src, start, stop = path[-1][1], lane_at[i] - lo, lane_at[i + 1] - lo
                     if start == stop:
                         np.subtract(src, 1, out=u_z)
                         continue  # a leaf: no term's tree parent
-                    if block is None:
-                        # alone in its block: _LANE_MAX lanes at a time
-                        for c0 in range(start, stop, _LANE_MAX):
-                            c1 = min(c0 + _LANE_MAX, stop)
-                            c = j0 + np.searchsorted(lane[j0:j1], (c0, c1))
-                            chunk = lanes(lo + c0, lo + c1, int(c[0]), int(c[1]), c0)
-                            np.subtract(src, np.add.reduce(chunk, axis=0, dtype=np.uint8)[:n],
-                                        out=u_z)
-                            src = u_z
-                    elif stop - start == 1:
+                    if stop - start == 1:
                         np.subtract(src, block[start, :n], out=u_z)
                     else:
                         np.subtract(src, np.add.reduce(block[start:stop], axis=0, dtype=np.uint8)[:n],
                                     out=u_z)
-                    path.append((z, u_z))
+                    path.append((terms[i], u_z))
                 if len(u_buf) == 1 and path[-1][1].base is u_buf:
                     u_buf = np.empty_like(u_buf)  # the path keeps the old one
                 else:
                     path = [(t, row.copy() if row.base is u_buf else row) for t, row in path]
                 a0, a1 = anc_at[b0], anc_at[b1]
                 pairs = rank[a0:a1] - b0, anc[a0:a1]
+                # a step before its term's last fills the lanes of its
+                # block, so no term has two steps in one block, and the
+                # block of its last step, written later, sets out[z]
                 out[zs[b0:b1]] = _entropy_rows(o, zs[b0:b1], pairs, u, tab, logs_buf[:b1 - b0])
 
     out[root] = _entropy_rows(o, [root], o.ancestor_pairs([root]), u_root[None, :], tab)[0]

@@ -3,7 +3,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dagic import build_ontology, dag, ontology_entropy, sic
@@ -74,6 +74,39 @@ def test_multiple_roots_listed():
     with pytest.raises(MultipleRoots) as err:
         build_ontology(["r1", "r2", "a"], [("a", "r1")])
     assert err.value.roots == ["r1", "r2"]
+
+
+@st.composite
+def any_parents(draw, max_nodes=9):
+    """(n, parent lists) where node 0 has no parent and every other node
+    takes 1-2 parents among all other nodes, so a cycle may sit apart
+    from the root."""
+    n = draw(st.integers(1, max_nodes))
+    others = [st.sets(st.integers(0, n - 1).filter(lambda p, i=i: p != i),
+                      min_size=1, max_size=2) for i in range(1, n)]
+    return n, [draw(s) for s in others]
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_parents())
+@example((3, [{0}, {0, 1}]))
+@example((4, [{0}, {3}, {2}]))  # 0 <- 1 and a cycle 2 <-> 3 out of the root's reach
+@example((4, [{0}, {1, 3}, {2}]))  # a cycle 2 <-> 3 the root reaches
+def test_root_in_every_ancestor_list(spec):
+    """One parentless term and no cycle leave no term out of the root's
+    reach: every ontology that builds has its root in every ancestor
+    list, and every edge set that leaves a term out raises."""
+    n, parents = spec
+    ids = [f"n{i:02d}" for i in range(n)]
+    edges = [(ids[i], ids[p]) for i, ps in enumerate(parents, start=1) for p in ps]
+    reach = dfs_reachable([(p, c) for c, p in edges], ids[0])
+    try:
+        o = build_ontology(ids, edges)
+    except CycleDetected:
+        return
+    assert reach == set(ids)
+    for i in range(n):
+        assert o.root_index in o.anc_idx[o.anc_ptr[i]:o.anc_ptr[i + 1]].tolist()
 
 
 def test_empty_input():

@@ -5,7 +5,9 @@ the ancestors the other parents bring; the DAGs drawn here have
 multi-parent terms whose extra parents carry ancestors the tree parent
 lacks, so both halves of the update run. On DAGs this small every term
 is wide (a packed descendant row), so the tests also force the wide rule
-to each extreme, and to a mix, to run the narrow terms' lists.
+to each extreme, and to a mix, to run the narrow terms' lists. A term
+with more new ancestors than metrics._LANE_MAX is walked in several
+steps; the chain fixtures and a shrunk _LANE_MAX make such terms.
 """
 
 import itertools
@@ -133,23 +135,25 @@ def test_root_conditional_is_total_entropy(spec):
     assert cond[o.root_index] == ontology_entropy(o).total_bits
 
 
-def two_chains():
-    """r with two disjoint 260-term chains below it, a and b; z sits
-    under both chains' ends, z1 under z, and a leaf under each chain's
-    top, which the chain's other terms are not over."""
-    chains = [f"{c}{i:03d}" for c in "ab" for i in range(260)]
+def two_chains(length=260):
+    """r with two disjoint chains of `length` terms below it, a and b; z
+    sits under both chains' ends, z1 under z, and a leaf under each
+    chain's top, which the chain's other terms are not over. Whichever
+    end is z's tree parent, the other chain and z itself are new: length
+    + 1 new ancestors."""
+    chains = [f"{c}{i:03d}" for c in "ab" for i in range(length)]
+    end = length - 1
     ids = ["r", *chains, "z", "z1", "sa", "sb"]
-    edges = [("a000", "r"), ("b000", "r"), ("z", "a259"), ("z", "b259"), ("z1", "z"),
-             ("sa", "a000"), ("sb", "b000")]
-    edges += [(f"{c}{i:03d}", f"{c}{i - 1:03d}") for c in "ab" for i in range(1, 260)]
+    edges = [("a000", "r"), ("b000", "r"), ("z", f"a{end:03d}"), ("z", f"b{end:03d}"),
+             ("z1", "z"), ("sa", "a000"), ("sb", "b000")]
+    edges += [(f"{c}{i:03d}", f"{c}{i - 1:03d}") for c in "ab" for i in range(1, length)]
     return build_ontology(ids, edges)
 
 
 def test_more_new_ancestors_than_a_byte_lane_holds():
-    """z sits under the ends of two disjoint 260-term chains, so whichever
-    end is its tree parent, the other chain and z itself are new: more
-    rows than one uint8 lane can sum without wrapping, and, with every
-    term narrow, more narrow ancestors than one lane counts."""
+    """z has more new ancestors than one uint8 lane can sum without
+    wrapping, and, with every term narrow, more narrow ancestors than one
+    lane counts, so it is walked in two steps."""
     o = two_chains()
     for p in o.parents("z"):
         assert len(o.ancestors("z") - o.ancestors(p)) > 255
@@ -160,10 +164,10 @@ def test_more_new_ancestors_than_a_byte_lane_holds():
 
 
 def assert_small_blocks_match(o, lanes):
-    """Blocks of 1-3 terms put tree parents in earlier blocks, so the
+    """Blocks of 1-3 steps put tree parents in earlier blocks, so the
     carried path rows are read, and make windows of a few blocks; lanes
-    below a term's new-ancestor count make it sit alone and be summed
-    lane by lane. Each case runs under every wide rule."""
+    below a term's new-ancestor count cut it into several steps, each
+    starting from the one before. Each case runs under every wide rule."""
     expected = np.array([conditional_entropy_given(o, t) for t in o.ids])
     for terms, lane_max in itertools.product((1, 2, 3), lanes):
         with pytest.MonkeyPatch.context() as mp:
@@ -184,4 +188,53 @@ def test_small_blocks_match_per_term(spec):
 
 
 def test_small_blocks_match_per_term_past_a_lane():
-    assert_small_blocks_match(two_chains(), lanes=(255,))
+    assert_small_blocks_match(two_chains(), lanes=(255, 1, 3))
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_new_ancestors_fill_a_step_exactly_or_by_one_more(extra):
+    """z has exactly _LANE_MAX new ancestors, one full step, or one more,
+    a full step and a step of one; z1 then reads z's last row."""
+    o = two_chains(metrics._LANE_MAX - 1 + extra)
+    for p in o.parents("z"):
+        assert len(o.ancestors("z") - o.ancestors(p)) == metrics._LANE_MAX + extra
+    assert_small_blocks_match(o, lanes=(metrics._LANE_MAX,))
+
+
+def test_more_steps_than_uint16_holds():
+    """256 terms under both ends of two 255-term chains, walked one lane
+    per step, make more steps than a uint16 counts, while the ancestor
+    lists are uint16. As in two_chains, a leaf under each chain's top is
+    outside the chain's other terms."""
+    length, below = 255, 256
+    chains = [f"{c}{i:03d}" for c in "ab" for i in range(length)]
+    zs = [f"z{i:03d}" for i in range(below)]
+    edges = [("a000", "r"), ("b000", "r"), ("sa", "a000"), ("sb", "b000")]
+    edges += [(f"{c}{i:03d}", f"{c}{i - 1:03d}") for c in "ab" for i in range(1, length)]
+    edges += [(z, f"{c}{length - 1:03d}") for z in zs for c in "ab"]
+    o = build_ontology(["r", *chains, *zs, "sa", "sb"], edges)
+    assert o.anc_idx.dtype == np.uint16
+    expected = np.array([conditional_entropy_given(o, t) for t in o.ids])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_LANE_MAX", 1)
+        assert np.array_equal(conditional_entropies_all(o), expected)
+
+
+@common
+@given(dags())
+@example(EXTRA_ANCESTOR)
+@example(STEP_KINDS)
+def test_walk_on_int32_lists_matches_uint16(spec):
+    """Above dag._NARROW_TERMS terms the ancestor and descendant lists are
+    int32; forced below n here, the walk matches brute force and the
+    uint16 run under every wide rule."""
+    short = under_each_wide_rule(lambda: conditional_entropies_all(build(spec)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dag, "_NARROW_TERMS", spec[0] - 1)
+        o = build(spec)
+        long = under_each_wide_rule(lambda: conditional_entropies_all(o))
+    assert o.anc_idx.dtype == np.int32
+    for zi, z in enumerate(o.ids):
+        assert abs(long[0][zi] - brute(o, z)) <= 1e-9
+    for got, want in zip(long, short):
+        assert np.array_equal(got, want)
