@@ -26,12 +26,8 @@ One kernel, _closure_rows, builds packed rows of the closure over one
 block of _ANC_BLOCK ids at a time, ORing rows along the edges level by
 level (_level_steps); a block is n rows of at most _ANC_BLOCK bits, so
 no n x n bit array exists above _ANC_BLOCK terms, and no block outlives
-its caller. _ancestor_lists reads the ancestor lists out of the blocks'
-set bits. descendant_store() gives the reflexive descendants that the
-all-terms gIC sweep walks, in two forms split by one rule, _is_wide: a
-packed n-bit row for each term with more than n / 64 of them (202 of
-GO's 40,000 terms, 1.0 MiB of rows), cut from the blocks, and a sorted
-list, read out of the blocks, for every other term.
+its caller. _closure_lists reads the ancestor lists out of the blocks'
+set bits; the gIC sweep in metrics reads its descendant sets off them.
 """
 
 from bisect import bisect_left
@@ -77,7 +73,7 @@ class Ontology:
     """
 
     def __init__(self, ids, edges, root_index, parent_ptr, child_idx, child_ptr,
-                 anc_ptr, anc_idx, depth, level):
+                 anc_ptr, anc_idx, depth):
         self.ids = ids                      # tuple[str], lexicographic
         self.edges = edges                  # (m, 2) intp rows (child, parent), sorted
         self.root_index = root_index
@@ -95,10 +91,9 @@ class Ontology:
         self.desc_counts = np.full(len(ids), -1, dtype=np.int64)
         np.add.at(self.desc_counts, anc_idx, 1)
         self.depth = depth                  # (n,) int64, min edge distance
-        self.level = level                  # (n,) int64, max edge distance
         for arr in (self.edges, self._parent_ptr, self._child_idx, self._child_ptr,
                     self.anc_ptr, self.anc_idx, self.anc_counts, self.desc_counts,
-                    self.depth, self.level):
+                    self.depth):
             arr.setflags(write=False)
         # element access from Python without numpy scalars, for under()
         self._ptr_view = memoryview(anc_ptr)
@@ -180,23 +175,6 @@ class Ontology:
             if k < end and anc[k] == a:
                 found.append(x)
         return found
-
-    def descendant_store(self):
-        """Every term's reflexive descendants, built on each call, in one
-        of two forms: (wide, rows, ptr, idx). wide, an (n,) bool array,
-        marks the terms that _is_wide gives packed rows; rows, a
-        (wide.sum(), w) uint64 array, holds them by ascending term index,
-        bit x of a term's row set when the term is an ancestor of x.
-        Every other term a has its descendants listed ascending in
-        idx[ptr[a]:ptr[a + 1]], of anc_idx's type; a wide term's list is
-        empty."""
-        n = len(self)
-        wide = _is_wide(self.desc_counts + 1, n)
-        parent = np.repeat(np.arange(n), np.diff(self._child_ptr))
-        steps = _level_steps(parent, self._child_idx, -self.level,
-                             _n_words(min(n, _ANC_BLOCK)))
-        ptr, idx, rows = _closure_lists(n, steps, self.anc_idx.dtype, wide)
-        return wide, rows, ptr, idx
 
     def min_depth(self, term_id):
         """Minimum edge distance from the root (root has depth 0)."""
@@ -291,8 +269,7 @@ def build_ontology(terms, edges):
     # n taken means every term lies under the root: the root is in every
     # ancestor list, as every metric assumes
 
-    level = np.array(level, dtype=np.int64)
-    anc_ptr, anc_idx = _ancestor_lists(n, edge_idx, level)
+    anc_ptr, anc_idx = _closure_lists(n, edge_idx, np.array(level, dtype=np.int64))
 
     return Ontology(
         ids=ids,
@@ -304,39 +281,25 @@ def build_ontology(terms, edges):
         anc_ptr=anc_ptr,
         anc_idx=anc_idx,
         depth=np.array(depth, dtype=np.int64),
-        level=level,
     )
 
 
-def _ancestor_lists(n, edges, level):
+def _closure_lists(n, edges, level):
     """CSR reflexive ancestor lists (ptr, idx) of the DAG with child ->
     parent edges, the sorted (child, parent) rows of an array, where every
-    parent's level is below its child's."""
-    steps = _level_steps(*edges.T, level, _n_words(min(n, _ANC_BLOCK)))
-    dtype = np.uint16 if n <= _NARROW_TERMS else np.int32
-    return _closure_lists(n, steps, dtype)[:2]
-
-
-def _closure_lists(n, steps, dtype, packed=None):
-    """(ptr, idx, rows): CSR lists of the closure that _closure_rows
-    builds from steps, their indices of type dtype, and the packed rows
-    of the terms that packed, an (n,) bool array or None, marks.
+    parent's level is below its child's.
 
     The lists are built one block of _ANC_BLOCK ids (a multiple of 64) at
-    a time: the packed rows of every term inside the block, whose words
-    go to a marked term's row and whose set bits are otherwise read out
-    (_set_bits). Blocks run in ascending id order, so each list comes out
-    ascending once its runs from the blocks are laid end to end. A
-    marked term's list is empty; rows is None without packed.
+    a time: the packed rows of every term inside the block (_closure_rows),
+    whose set bits are read out (_set_bits). Blocks run in ascending id
+    order, so each list comes out ascending once its runs from the blocks
+    are laid end to end.
     """
-    kept = None if packed is None else np.zeros((np.count_nonzero(packed), _n_words(n)),
-                                                 dtype=np.uint64)
+    steps = _level_steps(edges, level)
+    dtype = np.uint16 if n <= _NARROW_TERMS else np.int32
     runs, counts = [], np.zeros(n, dtype=np.int64)
     for b0 in range(0, n, _ANC_BLOCK):
         rows = _closure_rows(n, steps, b0, min(_ANC_BLOCK, n - b0))
-        if packed is not None:
-            kept[:, b0 // _WORD:b0 // _WORD + rows.shape[1]] = rows[packed]
-            rows[packed] = 0
         in_block = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
         runs.append((_set_bits(rows, in_block, b0, dtype), in_block))
         counts += in_block
@@ -345,22 +308,14 @@ def _closure_lists(n, steps, dtype, packed=None):
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])
     if len(runs) == 1:
-        return ptr, runs[0][0], kept
+        return ptr, runs[0][0]
     idx = np.empty(ptr[-1], dtype=dtype)
     free = ptr[:-1].copy()  # each term's next unfilled slot
     for run, in_block in runs:
         start = np.cumsum(in_block) - in_block
         idx[np.arange(len(run)) + np.repeat(free - start, in_block)] = run
         free += in_block
-    return ptr, idx, kept
-
-
-def _is_wide(sizes, n):
-    """Which of the terms with `sizes` reflexive descendants keep them as
-    a packed row of n bits rather than a list: those with more than
-    n / 64, where the row is the smaller form or close to it (Roaring
-    bitmaps switch from arrays to bitmaps near the same density)."""
-    return sizes * _WORD > n
+    return ptr, idx
 
 
 def _closure_rows(n, steps, first, width):
@@ -375,22 +330,23 @@ def _closure_rows(n, steps, first, width):
     return rows
 
 
-def _level_steps(dst, src, key, words):
-    """The (dst, src) pairs of two arrays, sorted by dst, as (dsts, srcs)
-    steps for _closure_rows: a step's dsts share one key and are
-    distinct, so a dst's k-th src comes in a later step than its first,
-    and a step gathers at most _CHUNK_BYTES of rows of `words` words.
-    Steps go by ascending key of dst, and every src's key is below its
-    dst's, so a src's row is complete before it is read."""
-    if not len(dst):
+def _level_steps(edges, level):
+    """The (child, parent) rows of edges, sorted by child, as (dsts, srcs)
+    steps for _closure_rows: a step's children share one level and are
+    distinct, so a child's k-th parent comes in a later step than its
+    first, and a step gathers at most _CHUNK_BYTES of a block's rows.
+    Steps go by ascending level of child, and every parent's level is
+    below its child's, so a parent's row is complete before it is read."""
+    if not len(edges):
         return []
+    dst, src = edges.T
     first = np.flatnonzero(np.diff(dst, prepend=-1))  # each dst's first pair
     k = np.arange(len(dst)) - np.repeat(first, np.diff(first, append=len(dst)))
-    dst_key = key[dst]
+    dst_key = level[dst]
     order = np.lexsort((k, dst_key))
     k, dst_key = k[order], dst_key[order]
     cuts = (np.flatnonzero((np.diff(k) != 0) | (np.diff(dst_key) != 0)) + 1).tolist()
-    per_step = max(1, _CHUNK_BYTES // (8 * words))
+    per_step = max(1, _CHUNK_BYTES // (8 * _n_words(min(len(level), _ANC_BLOCK))))
     steps = []
     for start, stop in zip([0, *cuts], [*cuts, len(order)]):
         for lo in range(start, stop, per_step):

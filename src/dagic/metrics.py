@@ -152,11 +152,58 @@ def _runs(ptr, counts, total):
     return pos, at
 
 
+def _is_wide(sizes, n):
+    """Which of the terms with `sizes` reflexive descendants keep them as
+    a packed row of n bits rather than a list: those with more than
+    n / 64, where the row is the smaller form or close to it (Roaring
+    bitmaps switch from arrays to bitmaps near the same density)."""
+    return sizes * 64 > n
+
+
+def _descendant_store(o):
+    """Every term's reflexive descendants, read off the ancestor lists (x
+    is a descendant of a when a is in x's list), as (slot, comp, ptr, idx).
+
+    A wide term a (_is_wide) has the complemented packed row comp[slot[a]]
+    of ceil(n / 8) bytes, bit x clear when x is a descendant; comp's last
+    row is all ones and is every narrow term's slot. A narrow term lists
+    its descendants ascending in idx[ptr[a]:ptr[a + 1]], of anc_idx's
+    type; a wide term's list is empty.
+
+    Each list entry (x, a) clears bit x of a bool row: a's own if a is
+    wide, else a spare row after the ones row that the packing drops. The
+    narrow entries, stably sorted by ancestor, give the lists."""
+    n, anc = len(o), o.anc_idx
+    sizes = o.desc_counts + 1
+    wide = _is_wide(sizes, n)
+    ones = int(np.count_nonzero(wide))
+    slot = np.full(n, ones, dtype=np.min_scalar_type(ones))
+    slot[wide] = np.arange(ones)
+    width = -(-n // 8) * 8
+    spare = (ones + 1) * width
+    dtype = np.int32 if spare + width < 2**31 else np.int64
+    first = np.full(n, spare, dtype=dtype)  # each term's row's first bit
+    first[wide] = np.arange(0, ones * width, width)
+    flat = first.take(anc)
+    flat += np.repeat(np.arange(n, dtype=dtype), o.anc_counts)
+    bits = np.ones((ones + 2, width), dtype=bool)
+    bits.reshape(-1)[flat] = False
+    comp = np.packbits(bits[:-1], axis=1, bitorder="little")
+    del bits
+    narrow = np.flatnonzero(flat >= spare)
+    del flat
+    x = (np.searchsorted(o.anc_ptr, narrow, side="right") - 1).astype(anc.dtype)
+    idx = x.take(np.argsort(anc.take(narrow), kind="stable"))
+    sizes[wide] = 0
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sizes, out=ptr[1:])
+    return slot, comp, ptr, idx
+
+
 def _new_ancestors(o, tp, comp, slot):
     """The entries a of each term z's ancestor list, in list order, that
     are missing from its tree parent tp[z]'s: those whose descendants
-    lack tp[z]. comp holds the complemented packed descendant rows of
-    the wide terms and then a row of ones, and slot[a] is a's row.
+    lack tp[z]. slot and comp are _descendant_store's.
 
     A wide a is tested at bit tp[z] of its row, one byte per list entry.
     For a narrow a, the keys z * n + a of the narrow entries ascend, and
@@ -164,11 +211,11 @@ def _new_ancestors(o, tp, comp, slot):
     child z; anc(tp[z]) is inside anc(z), so one search finds every one
     of the latter, and the narrow entries it misses are new."""
     n, counts = len(o), o.anc_counts
-    row_bytes = comp.view(np.uint8).shape[1]
+    row_bytes = comp.shape[1]
     offset = slot.astype(np.int32 if comp.nbytes < 2**31 else np.int64) * row_bytes
     offset = offset.take(o.anc_idx)
     offset += np.repeat((tp >> 3).astype(offset.dtype), counts)
-    byte = comp.view(np.uint8).ravel().take(offset)
+    byte = comp.ravel().take(offset)
     byte &= np.repeat(np.left_shift(1, tp & 7).astype(np.uint8), counts)
     narrow = np.flatnonzero(offset >= (len(comp) - 1) * row_bytes)
     del offset
@@ -197,10 +244,10 @@ def conditional_entropies_all(o, workers=1):
     U_z = U_p - sum of 1[x not in desc*(a)] over a in new(z) =
     anc(z) \\ anc(p), where desc* is the reflexive descendant set.
 
-    The descendant sets come from o.descendant_store(): a packed row for
-    each wide term, kept complemented, and a sorted list for each narrow
-    one. One pass over the ancestor lists gives every term's new
-    ancestors, ascending (_new_ancestors).
+    The descendant sets come from _descendant_store(): a complemented
+    packed row for each wide term and a sorted list for each narrow one.
+    One pass over the ancestor lists gives every term's new ancestors,
+    ascending (_new_ancestors).
 
     Each worker share takes its terms in depth-first preorder of the tree
     and cuts each term's new ancestors into consecutive steps of at most
@@ -245,15 +292,10 @@ def conditional_entropies_all(o, workers=1):
     tp = np.full(n, root)
     tp[child[picks]] = parent[picks]
 
-    wide, rows, desc_ptr, desc_idx = o.descendant_store()
+    slot, comp, desc_ptr, desc_idx = _descendant_store(o)
     desc_counts = np.diff(desc_ptr)
-    comp = np.full((len(rows) + 1, rows.shape[1]), ~np.uint64(0))
-    np.invert(rows, out=comp[:-1])
-    del rows
     ones = len(comp) - 1
-    slot = np.full(n, ones, dtype=np.min_scalar_type(ones))
-    slot[wide] = np.arange(ones)
-    width = 64 * comp.shape[1]  # bytes of an unpacked row: n, then padding
+    width = 8 * comp.shape[1]  # bytes of an unpacked row: n, then padding
     new_idx = _new_ancestors(o, tp, comp, slot)
     # anc(p) is inside anc(z), so |anc(z) \\ anc(p)| is a difference
     new_counts = counts - counts[tp]
@@ -368,8 +410,7 @@ def conditional_entropies_all(o, workers=1):
             base = hit_at[k0]
             for b0, b1 in group:
                 lo, j0, j1 = lane_at[b0], fill_at[b0], fill_at[b1]
-                block = np.unpackbits(comp[lane_rows[lo:lane_at[b1]]].view(np.uint8), axis=1,
-                                      bitorder="little")
+                block = np.unpackbits(comp[lane_rows[lo:lane_at[b1]]], axis=1, bitorder="little")
                 if j1 > j0:
                     block[lane[j0:j1]] = fill[j0:j1, None]
                     np.subtract.at(block.reshape(-1), hits[hit_at[j0] - base:hit_at[j1] - base],

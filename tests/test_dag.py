@@ -16,7 +16,7 @@ from dagic.errors import (
 )
 
 from conftest import chain, random_dag
-from test_gic_kernel import WIDE_RULES, build, dags
+from test_gic_kernel import build, dags
 
 
 def dfs_reachable(edges, start):
@@ -203,18 +203,13 @@ def test_ancestor_queries_match_set_views(spec, data):
 def test_ancestor_lists_built_in_small_blocks_match_sets(spec, data):
     """Blocks of 64 ancestor ids, so the lists of most terms are pieced
     together from several blocks; the second build also cuts every level
-    of the lists and of the descendant rows and every read-out into
-    chunks of a few rows, and stores the lists as int32, the type of
-    ontologies too large for uint16. The descendant store is checked
-    under the real wide rule and with every term wide, then narrow."""
+    of the lists and every read-out into chunks of a few rows, and stores
+    the lists as int32, the type of ontologies too large for uint16."""
     n, parents = spec
-    anc = [{0}]  # reflexive ancestors, min depth and longest path, by node number
-    depth, level = [0], [0]
+    anc, depth = [{0}], [0]  # reflexive ancestors and min depth, by node number
     for i, ps in enumerate(parents, start=1):
         anc.append({i}.union(*(anc[p] for p in ps)))
         depth.append(1 + min(depth[p] for p in ps))
-        level.append(1 + max(level[p] for p in ps))
-    rules = (dag._is_wide, WIDE_RULES["every term wide"], WIDE_RULES["every term narrow"])
     for chunk_bytes, narrow, dtype in ((dag._CHUNK_BYTES, dag._NARROW_TERMS, np.uint16),
                                        (64, n - 1, np.int32)):
         with pytest.MonkeyPatch.context() as mp:
@@ -222,10 +217,6 @@ def test_ancestor_lists_built_in_small_blocks_match_sets(spec, data):
             mp.setattr(dag, "_CHUNK_BYTES", chunk_bytes)
             mp.setattr(dag, "_NARROW_TERMS", narrow)
             o = build(spec)
-            stores = []
-            for rule in rules:
-                mp.setattr(dag, "_is_wide", rule)
-                stores.append(o.descendant_store())
         node = [int(t[1:]) for t in o.ids]
         index = {v: i for i, v in enumerate(node)}
         want = [sorted(index[a] for a in anc[v]) for v in node]
@@ -234,17 +225,6 @@ def test_ancestor_lists_built_in_small_blocks_match_sets(spec, data):
         assert o.anc_counts.tolist() == [len(w) for w in want]
         assert o.desc_counts.tolist() == [sum(i in w for w in want) - 1 for i in range(n)]
         assert o.depth.tolist() == [depth[v] for v in node]
-        assert o.level.tolist() == [level[v] for v in node]
-        below = [[x for x in range(n) if a in want[x]] for a in range(n)]  # reflexive
-        sizes = np.array([len(b) for b in below])
-        for rule, (wide, rows, ptr, idx) in zip(rules, stores):
-            assert np.array_equal(wide, rule(sizes, n))
-            assert rows.shape == (wide.sum(), (n + 63) // 64) and idx.dtype == dtype
-            packed = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")[:, :n]
-            assert [np.flatnonzero(r).tolist() for r in packed] == [
-                below[a] for a in np.flatnonzero(wide)]
-            assert [idx[ptr[a]:ptr[a + 1]].tolist() for a in range(n)] == [
-                [] if wide[a] else below[a] for a in range(n)]
         xs = data.draw(st.lists(st.integers(0, n - 1), max_size=8))
         assert o.ancestor_union(xs).tolist() == sorted(set().union(*(want[x] for x in xs)))
         a = data.draw(st.integers(0, n - 1))

@@ -52,8 +52,8 @@ STEP_KINDS = (6, [{0}, {0}, {1}, {1, 2}, {3}])
 
 common = settings(max_examples=150, deadline=None)
 
-# dag._is_wide forced to each extreme, and to a mix that puts wide and
-# narrow new ancestors side by side in one term's list
+# metrics._is_wide forced to each extreme, and to a mix that puts wide
+# and narrow new ancestors side by side in one term's list
 WIDE_RULES = {
     "every term wide": lambda sizes, n: np.ones(len(sizes), dtype=bool),
     "every term narrow": lambda sizes, n: np.zeros(len(sizes), dtype=bool),
@@ -66,9 +66,45 @@ def under_each_wide_rule(run):
     results = [run()]
     for rule in WIDE_RULES.values():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dag, "_is_wide", rule)
+            mp.setattr(metrics, "_is_wide", rule)
             results.append(run())
     return results
+
+
+@settings(max_examples=40, deadline=None)
+@given(dags(min_nodes=65, max_nodes=200))
+def test_descendant_store_matches_sets(spec):
+    """The store read off uint16 ancestor lists and off int32 ones,
+    under the real wide rule and each of WIDE_RULES: a wide term's
+    complemented row has bit x clear exactly for its reflexive
+    descendants x, the last row is all ones, and a narrow term lists its
+    descendants ascending, in the ancestor lists' type; a wide term
+    lists none."""
+    n, parents = spec
+    anc = [{0}]  # reflexive ancestors by node number
+    for i, ps in enumerate(parents, start=1):
+        anc.append({i}.union(*(anc[p] for p in ps)))
+    rules = (metrics._is_wide, *WIDE_RULES.values())
+    for narrow, dtype in ((dag._NARROW_TERMS, np.uint16), (n - 1, np.int32)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dag, "_NARROW_TERMS", narrow)
+            o = build(spec)
+        node = [int(t[1:]) for t in o.ids]
+        below = [[x for x in range(n) if node[a] in anc[node[x]]] for a in range(n)]
+        sizes = np.array([len(b) for b in below])
+        stores = under_each_wide_rule(lambda: metrics._descendant_store(o))
+        for rule, (slot, comp, ptr, idx) in zip(rules, stores):
+            wide = rule(sizes, n)
+            ones = len(comp) - 1
+            assert np.array_equal(slot != ones, wide) and slot[wide].tolist() == list(range(ones))
+            assert comp.shape == (ones + 1, (n + 7) // 8) and comp.dtype == np.uint8
+            rows = np.unpackbits(comp, axis=1, bitorder="little")[:, :n]
+            assert rows[-1].all()
+            assert [np.flatnonzero(r == 0).tolist() for r in rows[:-1]] == [
+                below[a] for a in np.flatnonzero(wide)]
+            assert idx.dtype == dtype
+            assert [idx[ptr[a]:ptr[a + 1]].tolist() for a in range(n)] == [
+                [] if wide[a] else below[a] for a in range(n)]
 
 
 @common
