@@ -22,16 +22,18 @@ as a reflexive ancestor; the anc_counts and desc_counts per term; and
 the ancestors/descendants set views. Only the gIC kernel in metrics
 reads anc_ptr and anc_idx directly.
 
-One kernel, _closure_rows, builds packed rows of the closure over one
-block of _ANC_BLOCK ids at a time, ORing rows along the edges level by
-level (_level_steps); a block is n rows of at most _ANC_BLOCK bits, so
-no n x n bit array exists above _ANC_BLOCK terms, and no block outlives
-its caller. _closure_lists reads the ancestor lists out of the blocks'
-set bits; the gIC sweep in metrics reads its descendant sets off them.
+build_ontology takes the DAG one level at a time from the root (Kahn's
+algorithm in rounds): each round settles its level's depths, finds the
+next level, and yields the level's OR steps. One kernel, _closure_rows,
+runs those steps to build packed rows of the closure over one block of
+_ANC_BLOCK ids at a time; a block is n rows of at most _ANC_BLOCK bits,
+so no n x n bit array exists above _ANC_BLOCK terms, and no block
+outlives its caller. _closure_lists reads the ancestor lists out of the
+blocks' set bits; the gIC sweep in metrics reads its descendant sets off
+them.
 """
 
 from bisect import bisect_left
-from collections import deque
 
 import numpy as np
 
@@ -56,6 +58,19 @@ def _n_words(n):
     return (n + _WORD - 1) // _WORD
 
 
+def _runs(ptr, counts, total):
+    """Positions of the runs ptr[i] .. ptr[i] + counts[i] - 1 of a CSR
+    array of total entries, laid end to end, and the (len(ptr) + 1,)
+    offsets of the runs in that layout. The positions are int32 while
+    the array's do fit in it."""
+    at = np.zeros(len(ptr) + 1, dtype=np.int64)
+    np.cumsum(counts, out=at[1:])
+    dtype = np.int32 if total < 2**31 else np.int64
+    pos = np.arange(at[-1], dtype=dtype)
+    pos += np.repeat((ptr - at[:-1]).astype(dtype), counts)
+    return pos, at
+
+
 def _offsets(keys, n):
     """(n + 1,) int64 CSR offsets of one run per value 0..n-1 of keys,
     the runs laid out by ascending value."""
@@ -72,12 +87,12 @@ class Ontology:
     lexicographic id order so every emitted table is deterministic.
     """
 
-    def __init__(self, ids, edges, root_index, parent_ptr, child_idx, child_ptr,
+    def __init__(self, ids, index, edges, root_index, parent_ptr, child_idx, child_ptr,
                  anc_ptr, anc_idx, depth):
         self.ids = ids                      # tuple[str], lexicographic
+        self._index = index                 # {id: position in ids}
         self.edges = edges                  # (m, 2) intp rows (child, parent), sorted
         self.root_index = root_index
-        self._index = {t: i for i, t in enumerate(ids)}
         # CSR over the edges: term i's parents are edges[parent_ptr[i]:
         # parent_ptr[i + 1], 1], and its children child_idx[child_ptr[i]:
         # child_ptr[i + 1]], both ascending
@@ -181,7 +196,7 @@ class Ontology:
         return int(self.depth[self.index(term_id)])
 
 
-def _find_cycle(remaining, parents_of):
+def _find_cycle(remaining, parent, parent_ptr):
     # walk parent pointers inside the unprocessed set until a repeat
     start = min(remaining)
     seen = {}
@@ -190,16 +205,16 @@ def _find_cycle(remaining, parents_of):
     while node not in seen:
         seen[node] = len(path)
         path.append(node)
-        node = next(p for p in parents_of[node] if p in remaining)
+        node = next(p for p in parent[parent_ptr[node]:parent_ptr[node + 1]].tolist()
+                    if p in remaining)
     return path[seen[node]:] + [node]
 
 
-def _index_edges(ids, edges):
-    """The distinct (child, parent) index pairs of edges as the rows of an
-    (m, 2) intp array, sorted; the first edge, in input order, that names
-    a term outside ids raises."""
-    index = {t: i for i, t in enumerate(ids)}
-    n = len(ids)
+def _index_edges(index, edges):
+    """The distinct (child, parent) index pairs of edges, under the id ->
+    index dict index, as the rows of an (m, 2) intp array, sorted; the
+    first edge, in input order, that names a term outside index raises."""
+    n = len(index)
     found = set()  # child * n + parent, so no pair is held as a tuple
     for child, parent in edges:
         if child not in index:
@@ -222,57 +237,63 @@ def build_ontology(terms, edges):
     if not ids:
         raise NoRoot()
     n = len(ids)
-    edge_idx = _index_edges(ids, edges)
+    index = {t: i for i, t in enumerate(ids)}
+    edge_idx = _index_edges(index, edges)
     child, parent = edge_idx.T
     parent_ptr = _offsets(child, n)
     child_idx = child[np.argsort(parent, kind="stable")]
     child_ptr = _offsets(parent, n)
-    # element access from Python without numpy scalars, and without a
-    # list of fresh ints per edge
-    up, up_ptr = memoryview(parent), memoryview(parent_ptr)
-    down, down_ptr = memoryview(child_idx), memoryview(child_ptr)
+    n_parents, n_children = np.diff(parent_ptr), np.diff(child_ptr)
 
-    def parents_of():
-        return [up[up_ptr[i]:up_ptr[i + 1]] for i in range(n)]
-
-    indeg = np.diff(parent_ptr).tolist()
-    parentless = [i for i in range(n) if not indeg[i]]
+    parentless = np.flatnonzero(n_parents == 0).tolist()
     if not parentless:
         # every term has a parent, so some cycle exists; report it
-        raise CycleDetected(ids[i] for i in _find_cycle(set(range(n)), parents_of()))
+        raise CycleDetected(ids[i] for i in _find_cycle(set(range(n)), parent, parent_ptr))
     if len(parentless) > 1:
         raise MultipleRoots(ids[i] for i in parentless)
     root = parentless[0]
 
-    # Kahn's algorithm; order guarantees parents precede children, so a
-    # term's depth is final once it is taken from the queue
-    depth = [n] * n
+    # Kahn's algorithm a level at a time: level r + 1 holds the children
+    # whose last parent lies in level r (the longest edge distance from
+    # the root is r + 1), so every term's parents, and hence its depth
+    # and its closure row, are final before its level is taken
+    per_step = max(1, _CHUNK_BYTES // (8 * _n_words(min(n, _ANC_BLOCK))))
+    depth = np.full(n, n, dtype=np.int64)
     depth[root] = 0
-    level = [0] * n  # longest edge distance from the root
-    order = deque([root])
-    topo = []
-    while order:
-        node = order.popleft()
-        topo.append(node)
-        below = depth[node] + 1
-        for c in down[down_ptr[node]:down_ptr[node + 1]]:
-            if below < depth[c]:
-                depth[c] = below
-            level[c] = max(level[c], level[node] + 1)
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                order.append(c)
-    if len(topo) < n:
-        remaining = set(range(n)) - set(topo)
-        raise CycleDetected(ids[i] for i in _find_cycle(remaining, parents_of()))
-    # the loop takes only the root and children of terms it took, so all
-    # n taken means every term lies under the root: the root is in every
-    # ancestor list, as every metric assumes
+    waiting = n_parents.copy()  # parents not yet taken; < 0 once taken
+    level, steps = np.array([root]), []
+    while len(level):
+        # the level's k-th parents OR in after its (k - 1)-th, so no step
+        # names a term twice; a step gathers at most _CHUNK_BYTES of a
+        # block's rows
+        counts = n_parents[level]
+        for k in range(counts.max()):
+            dst = level[counts > k]
+            src = parent[parent_ptr[dst] + k]
+            steps += [(dst[lo:lo + per_step], src[lo:lo + per_step])
+                      for lo in range(0, len(dst), per_step)]
+        counts = n_children[level]
+        kids = child_idx.take(_runs(child_ptr[level], counts, len(child_idx))[0])
+        np.minimum.at(depth, kids, np.repeat(depth[level] + 1, counts))
+        np.subtract.at(waiting, kids, 1)
+        level = kids[waiting[kids] == 0]
+        # a child under two terms of the level comes twice: tag each entry
+        # with its own negative slot and keep the entry whose tag stuck
+        tags = -1 - np.arange(len(level))
+        waiting[level] = tags
+        level = level[waiting[level] == tags]
+    remaining = np.flatnonzero(waiting > 0).tolist()
+    if remaining:
+        raise CycleDetected(ids[i] for i in _find_cycle(set(remaining), parent, parent_ptr))
+    # the rounds take only the root and children of terms they took, so
+    # no term left waiting means every term lies under the root: the root
+    # is in every ancestor list, as every metric assumes
 
-    anc_ptr, anc_idx = _closure_lists(n, edge_idx, np.array(level, dtype=np.int64))
+    anc_ptr, anc_idx = _closure_lists(n, steps)
 
     return Ontology(
         ids=ids,
+        index=index,
         edges=edge_idx,
         root_index=root,
         parent_ptr=parent_ptr,
@@ -280,14 +301,15 @@ def build_ontology(terms, edges):
         child_ptr=child_ptr,
         anc_ptr=anc_ptr,
         anc_idx=anc_idx,
-        depth=np.array(depth, dtype=np.int64),
+        depth=depth,
     )
 
 
-def _closure_lists(n, edges, level):
-    """CSR reflexive ancestor lists (ptr, idx) of the DAG with child ->
-    parent edges, the sorted (child, parent) rows of an array, where every
-    parent's level is below its child's.
+def _closure_lists(n, steps):
+    """CSR reflexive ancestor lists (ptr, idx) of the n-term DAG whose
+    edges are the (dsts, srcs) steps of build_ontology's rounds: a step
+    names no child twice, and a parent's steps all come before its
+    child's.
 
     The lists are built one block of _ANC_BLOCK ids (a multiple of 64) at
     a time: the packed rows of every term inside the block (_closure_rows),
@@ -295,7 +317,6 @@ def _closure_lists(n, edges, level):
     order, so each list comes out ascending once its runs from the blocks
     are laid end to end.
     """
-    steps = _level_steps(edges, level)
     dtype = np.uint16 if n <= _NARROW_TERMS else np.int32
     runs, counts = [], np.zeros(n, dtype=np.int64)
     for b0 in range(0, n, _ANC_BLOCK):
@@ -312,8 +333,7 @@ def _closure_lists(n, edges, level):
     idx = np.empty(ptr[-1], dtype=dtype)
     free = ptr[:-1].copy()  # each term's next unfilled slot
     for run, in_block in runs:
-        start = np.cumsum(in_block) - in_block
-        idx[np.arange(len(run)) + np.repeat(free - start, in_block)] = run
+        idx[_runs(free, in_block, len(idx))[0]] = run
         free += in_block
     return ptr, idx
 
@@ -328,31 +348,6 @@ def _closure_rows(n, steps, first, width):
     for dst, src in steps:
         rows[dst] |= rows[src]
     return rows
-
-
-def _level_steps(edges, level):
-    """The (child, parent) rows of edges, sorted by child, as (dsts, srcs)
-    steps for _closure_rows: a step's children share one level and are
-    distinct, so a child's k-th parent comes in a later step than its
-    first, and a step gathers at most _CHUNK_BYTES of a block's rows.
-    Steps go by ascending level of child, and every parent's level is
-    below its child's, so a parent's row is complete before it is read."""
-    if not len(edges):
-        return []
-    dst, src = edges.T
-    first = np.flatnonzero(np.diff(dst, prepend=-1))  # each dst's first pair
-    k = np.arange(len(dst)) - np.repeat(first, np.diff(first, append=len(dst)))
-    dst_key = level[dst]
-    order = np.lexsort((k, dst_key))
-    k, dst_key = k[order], dst_key[order]
-    cuts = (np.flatnonzero((np.diff(k) != 0) | (np.diff(dst_key) != 0)) + 1).tolist()
-    per_step = max(1, _CHUNK_BYTES // (8 * _n_words(min(len(level), _ANC_BLOCK))))
-    steps = []
-    for start, stop in zip([0, *cuts], [*cuts, len(order)]):
-        for lo in range(start, stop, per_step):
-            take = order[lo:min(stop, lo + per_step)]
-            steps.append((dst[take], src[take]))
-    return steps
 
 
 def _set_bits(rows, counts, base, dtype):

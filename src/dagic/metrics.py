@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dag import _runs
 from .errors import DegenerateOntology, EmptyCorpus
 
 
@@ -137,19 +138,6 @@ _BLOCK_CELLS = 2**15
 # byte lane holds at most 255 (a uint8 reduce runs about twice as fast as
 # a uint16 one)
 _LANE_MAX = 255
-
-
-def _runs(ptr, counts, total):
-    """Positions of the runs ptr[i] .. ptr[i] + counts[i] - 1 of a CSR
-    array of total entries, laid end to end, and the (len(ptr) + 1,)
-    offsets of the runs in that layout. The positions are int32 while
-    the array's do fit in it."""
-    at = np.zeros(len(ptr) + 1, dtype=np.int64)
-    np.cumsum(counts, out=at[1:])
-    dtype = np.int32 if total < 2**31 else np.int64
-    pos = np.arange(at[-1], dtype=dtype)
-    pos += np.repeat((ptr - at[:-1]).astype(dtype), counts)
-    return pos, at
 
 
 def _is_wide(sizes, n):
@@ -448,10 +436,12 @@ def conditional_entropies_all(o, workers=1):
         # loaded here, so a single-worker process does not import it
         from concurrent.futures import ThreadPoolExecutor
 
-        # deal subtrees round-robin; any split gives identical output
+        # deal subtrees round-robin, to no more workers than subtrees; any
+        # split gives identical output
+        workers = min(workers, len(tops))
         shares = [tops[k::workers] for k in range(workers)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(walk, share) for share in shares if share]
+            futures = [pool.submit(walk, share) for share in shares]
             for f in futures:
                 f.result()
     return out

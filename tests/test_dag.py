@@ -67,7 +67,7 @@ def test_cycle_reports_offenders():
     with pytest.raises(CycleDetected) as err:
         build_ontology(["r", "a", "b", "c"],
                        [("a", "r"), ("b", "a"), ("c", "b"), ("b", "c")])
-    assert {"b", "c"} <= set(err.value.cycle)
+    assert err.value.cycle == ["b", "c", "b"]
 
 
 def test_multiple_roots_listed():
@@ -107,6 +107,18 @@ def test_root_in_every_ancestor_list(spec):
     assert reach == set(ids)
     for i in range(n):
         assert o.root_index in o.anc_idx[o.anc_ptr[i]:o.anc_ptr[i + 1]].tolist()
+
+
+@pytest.mark.parametrize("parents", [
+    [{0}, {3}, {2}],      # a cycle n02 <-> n03 out of the root's reach
+    [{0}, {1, 3}, {2}],   # a cycle n02 <-> n03 the root reaches
+])
+def test_cycle_named_from_its_least_term(parents):
+    ids = [f"n{i:02d}" for i in range(len(parents) + 1)]
+    edges = [(ids[i], ids[p]) for i, ps in enumerate(parents, start=1) for p in ps]
+    with pytest.raises(CycleDetected) as err:
+        build_ontology(ids, edges)
+    assert err.value.cycle == ["n02", "n03", "n02"]
 
 
 def test_empty_input():
@@ -229,6 +241,49 @@ def test_ancestor_lists_built_in_small_blocks_match_sets(spec, data):
         assert o.ancestor_union(xs).tolist() == sorted(set().union(*(want[x] for x in xs)))
         a = data.draw(st.integers(0, n - 1))
         assert o.under(a, xs) == [x for x in xs if a in want[x]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_many_parents_and_wide_levels_built_in_small_steps(seed):
+    """Terms with about 20 parents spread over several levels, and levels
+    wider than one OR step: with 64-id blocks and 64-byte chunks a step
+    holds 8 terms, so a level's k-th parents run in several steps and k
+    reaches 19. The lists and depths match sets and a BFS from the root."""
+    rng = np.random.default_rng(seed)
+    n = 150
+    parents = [set()]
+    for i in range(1, n):
+        k = min(i, 20 if i % 10 == 9 else int(rng.integers(1, 4)))
+        parents.append(set(rng.choice(i, size=k, replace=False).tolist()))
+    anc, level = [], []
+    for i, ps in enumerate(parents):
+        anc.append({i}.union(*(anc[p] for p in ps)))
+        level.append(1 + max((level[p] for p in ps), default=-1))
+    assert max(len(ps) for ps in parents) == 20
+    assert max(np.bincount(level)) > 8
+    kids = [[] for _ in range(n)]
+    for i, ps in enumerate(parents):
+        for p in ps:
+            kids[p].append(i)
+    depth, frontier = {0: 0}, deque([0])
+    while frontier:
+        t = frontier.popleft()
+        for c in kids[t]:
+            if c not in depth:
+                depth[c] = depth[t] + 1
+                frontier.append(c)
+    # ids out of node order, so each block holds terms of many levels
+    names = [f"t{(37 * i) % n:03d}" for i in range(n)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dag, "_ANC_BLOCK", 64)
+        mp.setattr(dag, "_CHUNK_BYTES", 64)
+        o = build_ontology(names, [(names[i], names[p])
+                                   for i, ps in enumerate(parents) for p in ps])
+    for i, t in enumerate(names):
+        x = o.index(t)
+        assert o.anc_idx[o.anc_ptr[x]:o.anc_ptr[x + 1]].tolist() == \
+            sorted(o.index(names[a]) for a in anc[i])
+        assert o.depth[x] == depth[i]
 
 
 def layered(sizes, seed=5):

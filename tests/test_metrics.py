@@ -175,6 +175,41 @@ def test_gic_workers_bit_identical(mf_ontology):
     assert np.array_equal(single, multi)
 
 
+def test_gic_huge_worker_count_asks_no_more_threads_than_subtrees(mf_ontology, monkeypatch):
+    """--workers accepts any positive int: a million workers must neither
+    stall dealing a million empty shares nor ask the pool for more
+    threads than the root has subtrees (the walk's tops are some of the
+    root's children). A fake pool records its size and runs each share
+    at once, so no thread starts."""
+    import concurrent.futures
+
+    asked, shares = [], []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, share):
+            shares.append(list(share))
+            done = concurrent.futures.Future()
+            done.set_result(fn(share))
+            return done
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    single = conditional_entropies_all(mf_ontology, workers=1)
+    many = conditional_entropies_all(mf_ontology, workers=10**6)
+    assert np.array_equal(single, many)
+    tops = len(mf_ontology.children(mf_ontology.root))
+    assert len(asked) == 1 and 2 <= asked[0] <= tops
+    assert len(shares) == asked[0] and all(shares)
+
+
 # --- sIC ---
 
 def test_sic_anchors(diamond):
