@@ -19,8 +19,9 @@ closure: ancestor_pairs(indices), the (position, ancestor) pairs of
 the terms' lists; ancestor_union(indices), the sorted union of the
 terms' reflexive ancestors; under(a, xs), the members of xs that have a
 as a reflexive ancestor; the anc_counts and desc_counts per term; and
-the ancestors/descendants set views. Only the gIC kernel in metrics
-reads anc_ptr and anc_idx directly.
+the ancestors/descendants set views. Only metrics reads anc_ptr and
+anc_idx directly: conditional_entropy_given, and the all-terms gIC
+sweep's _descendant_store, _new_ancestors and _Sweep schedule.
 
 build_ontology takes the DAG one level at a time from the root (Kahn's
 algorithm in rounds): each round settles its level's depths, finds the

@@ -12,7 +12,8 @@ Entropy H of the ontology is the joint entropy of drawing a two-term
 annotation under maximum-entropy selection: the first term x is uniform
 over N, the second uniform over Y_x = (N \\ (desc(x) | anc(x))) | {root}.
 All entropies are reported in bits. The all-terms gIC sweep is one walk
-over a spanning tree of the DAG (conditional_entropies_all).
+over a spanning tree of the DAG (conditional_entropies_all), scheduled
+once by _Sweep and run in contiguous shares of its blocks.
 """
 
 from dataclasses import dataclass
@@ -221,230 +222,242 @@ def _new_ancestors(o, tp, comp, slot):
     return o.anc_idx.compress(byte != 0)
 
 
-def conditional_entropies_all(o, workers=1):
-    """H(X_z, Y_xz | z) for every z, deterministic across worker counts.
+class _Sweep:
+    """The all-terms gIC walk of conditional_entropies_all, scheduled once
+    for every term but the root; walk() runs a share of its blocks.
 
-    One walk over a spanning tree of the DAG carries each term's row as
-    the table indices that _entropy_rows reads,
-    U_z[x] = |Y_x| + |anc(x) & anc(z)| - |anc(z)| + n - 2, from a term
-    to its tree children: each non-root z hangs under its parent p with
-    the most ancestors, U_root = |Y_x| + n - 2, and
+    The walk carries each term's row as the table indices that
+    _entropy_rows reads, U_z[x] = |Y_x| + |anc(x) & anc(z)| - |anc(z)| +
+    n - 2, down a spanning tree of the DAG: each non-root z hangs under
+    its parent p with the most ancestors, U_root = |Y_x| + n - 2, and
     U_z = U_p - sum of 1[x not in desc*(a)] over a in new(z) =
-    anc(z) \\ anc(p), where desc* is the reflexive descendant set.
-
-    The descendant sets come from _descendant_store(): a complemented
-    packed row for each wide term and a sorted list for each narrow one.
-    One pass over the ancestor lists gives every term's new ancestors,
+    anc(z) \\ anc(p), where desc* is the reflexive descendant set. The
+    descendant sets come from _descendant_store(): a complemented packed
+    row for each wide term and a sorted list for each narrow one. One
+    pass over the ancestor lists gives every term's new ancestors,
     ascending (_new_ancestors).
 
-    Each worker share takes its terms in depth-first preorder of the tree
-    and cuts each term's new ancestors into consecutive steps of at most
-    _LANE_MAX, as many as a term needs and at least one. A term's first
-    step starts from its tree parent's U and each later one from its
-    previous step's, so a step before a term's last holds exactly
-    _LANE_MAX. The share lays its steps' ancestor and new lists end to
-    end and walks them in blocks of consecutive steps: at most
-    _BLOCK_CELLS // n steps and at most _LANE_MAX new ancestors per
-    block, whose ancestor lists and new ancestors are then contiguous
-    slices. A step's lanes are the byte rows it subtracts:
-    1[x not in desc*(a)] for each wide new ancestor a, the unpacked
-    complemented row, and one lane for all its narrow ones, their number
-    less how many of them are over x (a fill, then a scatter of their
-    descendant lists). A block unpacks all its lanes at once, and each
-    step subtracts its own from its source's U: one lane alone, or a
-    uint8 reduce of several, which cannot wrap. A leaf whose only new
-    ancestor is itself takes U_p - 1 and no lane (its own entry is masked
-    as an ancestor, and no term inherits from it). The block's entropies
-    come from one table lookup and one row sum (_entropy_rows); a term's
-    last step sets its value. The scatter entries are laid out a window
-    of blocks at a time. In preorder every step's source lies on the path
-    to the previous step, so only that path's U rows, one per step on it,
-    outlive a block.
+    The schedule takes the terms in one depth-first preorder of the tree,
+    so each subtree of the root is one run, and cuts each term's new
+    ancestors into consecutive steps of at most _LANE_MAX, as many as a
+    term needs and at least one. A term's first step starts from its tree
+    parent's U (source) and each later one from its previous step's, so a
+    step before a term's last holds exactly _LANE_MAX. The steps'
+    ancestor and new lists lie end to end and are cut into blocks of
+    consecutive steps (bounds): a block opens where a subtree of the root
+    starts and before a step that would give it more than
+    _BLOCK_CELLS // n steps (at least one) or more than _LANE_MAX new
+    ancestors, so its ancestor lists and new ancestors are contiguous
+    slices.
 
-    Workers take whole subtrees of the root's tree children; every U is
-    an exact integer vector and each row is summed alone, so the result
-    does not depend on the worker count or the block bounds.
+    Step i's lanes, lane_at[i] to lane_at[i + 1], are the byte rows it
+    subtracts: the unpacked complemented row comp[lane_rows[l]] of each
+    wide new ancestor, and one lane for all its narrow ones (narrow lane
+    fill_at[i], if fill_at[i + 1] is past it), which starts as their
+    number and loses one for each of them over x: a fill, then a scatter
+    of their descendant lists. Narrow lane j is lane fill_lane[j] of its
+    block, with fill[j] narrow new ancestors narrow[fill_entries[j]:
+    fill_entries[j + 1]]; entry e's scatter starts at narrow_offset[e],
+    its lane times the unpacked row's width. A leaf whose only new
+    ancestor is itself has no lane: it takes U_p - 1 (its own entry is
+    masked as an ancestor, and no term inherits from it).
     """
-    n = len(o)
-    out = np.empty(n, dtype=np.float64)
-    tab = _log2_table(n)
-    root = o.root_index
-    counts = o.anc_counts
-    # tree parent: the parent with the most ancestors, lowest index on
-    # ties, i.e. each child's first edge by (child, n - count, parent);
-    # the edges come sorted by (child, parent), so two stable sorts give it
-    child, parent = o.edges.T
-    picks = np.argsort(n - counts[parent], kind="stable")
-    picks = picks[np.argsort(child[picks], kind="stable")]
-    picks = picks[np.diff(child[picks], prepend=-1) != 0]
-    tp = np.full(n, root)
-    tp[child[picks]] = parent[picks]
 
-    slot, comp, desc_ptr, desc_idx = _descendant_store(o)
-    desc_counts = np.diff(desc_ptr)
-    ones = len(comp) - 1
-    width = 8 * comp.shape[1]  # bytes of an unpacked row: n, then padding
-    new_idx = _new_ancestors(o, tp, comp, slot)
-    # anc(p) is inside anc(z), so |anc(z) \\ anc(p)| is a difference
-    new_counts = counts - counts[tp]
-    new_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(new_counts, out=new_ptr[1:])
-    # new ancestors whose lanes each term subtracts: none for a leaf whose
-    # only new ancestor is itself
-    lane_counts = np.where((new_counts == 1) & (o.desc_counts == 0), 0, new_counts)
+    def __init__(self, o):
+        n, root, counts = len(o), o.root_index, o.anc_counts
+        self.o, self.root, self.out = o, root, np.empty(n)
+        self.tab = _log2_table(n)
+        self.u_root = _second_term_counts(o) + (n - 2)
+        self.per_block = max(1, _BLOCK_CELLS // n)
+        # tree parent: the parent with the most ancestors, lowest index on
+        # ties, i.e. each child's first edge by (child, n - count, parent);
+        # the edges come sorted by (child, parent), so two stable sorts give it
+        child, parent = o.edges.T
+        picks = np.argsort(n - counts[parent], kind="stable")
+        picks = picks[np.argsort(child[picks], kind="stable")]
+        picks = picks[np.diff(child[picks], prepend=-1) != 0]
+        tp = np.full(n, root)
+        tp[child[picks]] = parent[picks]
 
-    tree_children = [[] for _ in range(n)]
-    for z, p in enumerate(tp.tolist()):
-        if z != root:
-            tree_children[p].append(z)
-    per_block = max(1, _BLOCK_CELLS // n)
-    one = np.uint8(1)  # a uint8 scalar keeps np.subtract.at on its fast path
+        slot, self.comp, self.desc_ptr, self.desc_idx = _descendant_store(o)
+        self.width = 8 * self.comp.shape[1]  # bytes of an unpacked row: n, then padding
+        new_idx = _new_ancestors(o, tp, self.comp, slot)
+        # anc(p) is inside anc(z), so |anc(z) \\ anc(p)| is a difference
+        new_counts = counts - counts[tp]
+        new_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(new_counts, out=new_ptr[1:])
+        # new ancestors whose lanes each term subtracts: none for a leaf whose
+        # only new ancestor is itself
+        lane_counts = np.where((new_counts == 1) & (o.desc_counts == 0), 0, new_counts)
 
-    def preorder(tops):
-        order = []
-        stack = list(reversed(tops))
+        tree_children = [[] for _ in range(n)]
+        for z, p in enumerate(tp.tolist()):
+            if z != root:
+                tree_children[p].append(z)
+        order, stack = [], tree_children[root][::-1]
         while stack:
             z = stack.pop()
             stack.extend(reversed(tree_children[z]))
             order.append(z)
-        return order
-
-    def blocks(news):
-        # (start, stop) of each block of the steps with `news` new
-        # ancestors per step; a block closes before the step that would
-        # overfill it
-        start, used = 0, 0
-        for i, r in enumerate(news):
-            if i > start and (i - start == per_block or used + r > _LANE_MAX):
-                yield start, i
-                start, used = i, 0
-            used += r
-        yield start, len(news)
-
-    def windows(bounds, scattered):
-        # runs of whole blocks with at most _BLOCK_CELLS scatter entries,
-        # or one block
-        first = 0
-        for k in range(1, len(bounds)):
-            if scattered[bounds[k][1]] - scattered[bounds[first][0]] > _BLOCK_CELLS:
-                yield bounds[first:k]
-                first = k
-        yield bounds[first:]
-
-    u_root = _second_term_counts(o) + (n - 2)
-
-    def walk(tops):
-        order = preorder(tops)
-        # step k of a term walks its lanes from k * _LANE_MAX on, starting
-        # from its tree parent's row if k is 0 and its own otherwise
+        del tree_children
+        # step k of a term walks its lanes from k * _LANE_MAX on
         term_lanes = lane_counts[order]
         steps = np.maximum(1, -(-term_lanes // _LANE_MAX))
-        zs = np.repeat(np.array(order, dtype=np.intp), steps)
+        self.zs = zs = np.repeat(np.array(order, dtype=np.intp), steps)
         k = np.arange(len(zs)) - np.repeat(np.cumsum(steps) - steps, steps)
         lanes_of = np.minimum(np.repeat(term_lanes, steps) - k * _LANE_MAX, _LANE_MAX)
-        terms, source = zs.tolist(), np.where(k == 0, tp[zs], zs).tolist()
+        self.terms, self.source = zs.tolist(), np.where(k == 0, tp[zs], zs).tolist()
+        self.bounds, start, used = [], 0, 0
+        for i, (r, s) in enumerate(zip(lanes_of.tolist(), self.source)):
+            if s == root or i - start == self.per_block or used + r > _LANE_MAX:
+                self.bounds.append(i)
+                start, used = i, 0
+            used += r
+        self.bounds.append(len(zs))
         # the steps' ancestor lists, their rows' positions among the steps
         # (which can outnumber the terms), and their new ancestors, each
         # laid end to end
         pos, anc_at = _runs(o.anc_ptr[zs], counts[zs], len(o.anc_idx))
-        anc = o.anc_idx.take(pos)
-        rank = np.repeat(np.arange(len(zs), dtype=np.min_scalar_type(len(zs))), counts[zs])
+        self.anc = o.anc_idx.take(pos)
+        self.rank = np.repeat(np.arange(len(zs), dtype=np.min_scalar_type(len(zs))), counts[zs])
         pos, new_at = _runs(new_ptr[zs] + k * _LANE_MAX, lanes_of, len(new_idx))
         new = new_idx.take(pos)
-        del pos, k
-        bounds = list(blocks(lanes_of.tolist()))
+        del pos, k, new_idx
         # a new ancestor starts a lane if it is wide or its step's first
         # narrow one
-        heads = slot.take(new) != ones
+        heads = slot.take(new) != len(self.comp) - 1
         narrow = np.flatnonzero(~heads)
         step = np.searchsorted(new_at, narrow, side="right") - 1
         starts = np.diff(step, prepend=-1) != 0
         heads[narrow[starts]] = True
         lane_at = np.zeros(len(new) + 1, dtype=np.int64)
         np.cumsum(heads, out=lane_at[1:])
-        lane_rows = slot.take(new.compress(heads))  # each lane's comp row
-        # the narrow lanes: each one's index from its block's first lane
-        # and its number of narrow new ancestors, each step's first narrow
-        # lane, and each narrow new ancestor's lane
-        b0s = [b0 for b0, _ in bounds]
-        first = np.repeat(lane_at[new_at[b0s]], np.diff(b0s, append=len(zs)))
-        lane = lane_at.take(narrow.compress(starts)) - first.take(step.compress(starts))
-        narrow_lane = lane.take(np.cumsum(starts) - 1)
+        self.lane_rows = slot.take(new.compress(heads))
+        # lanes are numbered from their block's first
+        first = np.repeat(lane_at[new_at[self.bounds[:-1]]], np.diff(self.bounds))
+        self.fill_lane = lane_at.take(narrow.compress(starts)) - first.take(step.compress(starts))
+        # each narrow new ancestor's lane * width, where its scatter entries start
+        offset = self.fill_lane.take(np.cumsum(starts) - 1) * self.width
+        fits = offset.max(initial=0) + self.width < 2**31
+        self.narrow_offset = offset.astype(np.int32 if fits else np.int64)
         starts = np.flatnonzero(starts)
-        fill = np.diff(starts, append=len(narrow)).astype(np.uint8)
-        fill_at = np.searchsorted(step.take(starts), np.arange(len(zs) + 1)).tolist()
+        self.fill = np.diff(starts, append=len(narrow)).astype(np.uint8)
+        fill_at = np.searchsorted(step.take(starts), np.arange(len(zs) + 1))
         # the scatter entries, lane * width + x for each descendant x of a
-        # narrow new ancestor, and each narrow lane's first
-        narrow = new.take(narrow)
-        sizes = desc_counts.take(narrow)
+        # narrow new ancestor: each narrow lane's first, and each block's
+        self.narrow = new.take(narrow)
+        self.sizes = np.diff(self.desc_ptr).take(self.narrow)
         scattered = np.zeros(len(narrow) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=scattered[1:])
-        starts = np.append(starts, len(narrow)).tolist()
-        hit_at = scattered.take(starts).tolist()
-        entry_type = np.int32 if (int(lane.max(initial=0)) + 1) * width < 2**31 else np.int64
-        lane_at = lane_at.take(new_at).tolist()  # each step's first lane
-        anc_at = anc_at.tolist()
+        np.cumsum(self.sizes, out=scattered[1:])
+        self.fill_entries = np.append(starts, len(narrow))
+        block_hits = scattered.take(self.fill_entries.take(fill_at.take(self.bounds)))
+        # walk lays out the scatter entries of a window of whole blocks at
+        # once, from block b to window[b]: at most _BLOCK_CELLS, or block b's
+        window = np.searchsorted(block_hits, block_hits[:-1] + _BLOCK_CELLS, "right") - 1
+        self.window = np.maximum(window, np.arange(1, len(block_hits))).tolist()
+        self.hit_at = scattered.take(self.fill_entries).tolist()
+        self.fill_entries, self.fill_at = self.fill_entries.tolist(), fill_at.tolist()
+        self.lane_at = lane_at.take(new_at).tolist()
+        self.anc_at = anc_at.tolist()
 
-        path = [(root, u_root)]  # (term, U) from the root to the last step
-        u_buf = np.empty((per_block, n), dtype=np.intp)
-        logs_buf = np.empty((per_block, n))
-        for group in windows(bounds, [hit_at[j] for j in fill_at]):
-            k0, k1 = fill_at[group[0][0]], fill_at[group[-1][1]]
-            e0, e1 = starts[k0], starts[k1]
-            pos = _runs(desc_ptr.take(narrow[e0:e1]), sizes[e0:e1], len(desc_idx))[0]
-            hits = np.repeat(narrow_lane[e0:e1].astype(entry_type) * width, sizes[e0:e1])
-            hits += desc_idx.take(pos)
-            del pos
-            base = hit_at[k0]
-            for b0, b1 in group:
-                lo, j0, j1 = lane_at[b0], fill_at[b0], fill_at[b1]
-                block = np.unpackbits(comp[lane_rows[lo:lane_at[b1]]], axis=1, bitorder="little")
-                if j1 > j0:
-                    block[lane[j0:j1]] = fill[j0:j1, None]
-                    np.subtract.at(block.reshape(-1), hits[hit_at[j0] - base:hit_at[j1] - base],
-                                   one)
-                u = u_buf[:b1 - b0]
-                for i, u_z in enumerate(u, start=b0):
-                    while path[-1][0] != source[i]:
-                        path.pop()
-                    src, start, stop = path[-1][1], lane_at[i] - lo, lane_at[i + 1] - lo
-                    if start == stop:
-                        np.subtract(src, 1, out=u_z)
-                        continue  # a leaf: no term's tree parent
-                    if stop - start == 1:
-                        np.subtract(src, block[start, :n], out=u_z)
-                    else:
-                        np.subtract(src, np.add.reduce(block[start:stop], axis=0, dtype=np.uint8)[:n],
-                                    out=u_z)
-                    path.append((terms[i], u_z))
-                if len(u_buf) == 1 and path[-1][1].base is u_buf:
-                    u_buf = np.empty_like(u_buf)  # the path keeps the old one
+    def shares(self, workers):
+        """The blocks as at most `workers` ranges, each a run of whole
+        subtrees of the root, cut at the subtree starts nearest to equal
+        shares of the steps."""
+        bounds = np.array(self.bounds)
+        tops = np.flatnonzero(np.array(self.source)[bounds[:-1]] == self.root)
+        firsts = np.append(tops, len(bounds) - 1)
+        at = bounds[firsts]  # the subtrees' first steps, then the step count
+        w = min(max(1, workers), len(tops))
+        cuts = np.searchsorted(w * (at[:-1] + at[1:]), 2 * at[-1] * np.arange(w))
+        firsts = sorted(set(firsts[cuts].tolist()) | {len(bounds) - 1})
+        return [range(b0, b1) for b0, b1 in zip(firsts, firsts[1:])]
+
+    def walk(self, blocks):
+        """Runs the blocks in the range `blocks`, which starts at a subtree
+        of the root, setting out[z] for each of their terms.
+
+        A block unpacks all its lanes at once, fills its narrow lanes and
+        scatters their descendant lists, laid out a window of whole blocks
+        at a time (at most _BLOCK_CELLS entries, or one block). Each step
+        subtracts its lanes from its source's U: one lane alone, or a uint8
+        reduce of several, which cannot wrap. The block's entropies come
+        from one table lookup and one row sum (_entropy_rows); a term's last
+        step sets its value. In preorder every step's source lies on the
+        path to the previous step, so only that path's U rows, one per step
+        on it, outlive a block.
+        """
+        n, bounds, lane_at, fill_at = len(self.o), self.bounds, self.lane_at, self.fill_at
+        hit_at = self.hit_at
+        path = [(self.root, self.u_root)]  # (term, U) from the root to the last step
+        u_buf = np.empty((self.per_block, n), dtype=np.intp)
+        logs_buf = np.empty((self.per_block, n))
+        one = np.uint8(1)  # a uint8 scalar keeps np.subtract.at on its fast path
+        window = blocks.start
+        for b in blocks:
+            b0, b1 = bounds[b], bounds[b + 1]
+            lo, j0, j1 = lane_at[b0], fill_at[b0], fill_at[b1]
+            if b == window:
+                window = min(self.window[b], blocks.stop)
+                e0, e1 = self.fill_entries[j0], self.fill_entries[fill_at[bounds[window]]]
+                sizes = self.sizes[e0:e1]
+                pos = _runs(self.desc_ptr.take(self.narrow[e0:e1]), sizes, len(self.desc_idx))[0]
+                hits = np.repeat(self.narrow_offset[e0:e1], sizes)
+                hits += self.desc_idx.take(pos)
+                base = hit_at[j0]
+            block = np.unpackbits(self.comp[self.lane_rows[lo:lane_at[b1]]], 1, bitorder="little")
+            if j1 > j0:
+                block[self.fill_lane[j0:j1]] = self.fill[j0:j1, None]
+                np.subtract.at(block.reshape(-1), hits[hit_at[j0] - base:hit_at[j1] - base], one)
+            u = u_buf[:b1 - b0]
+            for i, u_z in enumerate(u, start=b0):
+                while path[-1][0] != self.source[i]:
+                    path.pop()
+                src, start, stop = path[-1][1], lane_at[i] - lo, lane_at[i + 1] - lo
+                if start == stop:
+                    np.subtract(src, 1, out=u_z)
+                    continue  # a leaf: no term's tree parent
+                if stop - start == 1:
+                    np.subtract(src, block[start, :n], out=u_z)
                 else:
-                    path = [(t, row.copy() if row.base is u_buf else row) for t, row in path]
-                a0, a1 = anc_at[b0], anc_at[b1]
-                pairs = rank[a0:a1] - b0, anc[a0:a1]
-                # a step before its term's last fills the lanes of its
-                # block, so no term has two steps in one block, and the
-                # block of its last step, written later, sets out[z]
-                out[zs[b0:b1]] = _entropy_rows(o, zs[b0:b1], pairs, u, tab, logs_buf[:b1 - b0])
+                    np.subtract(src, np.add.reduce(block[start:stop], axis=0, dtype=np.uint8)[:n],
+                                out=u_z)
+                path.append((self.terms[i], u_z))
+            if len(u_buf) == 1 and path[-1][1].base is u_buf:
+                u_buf = np.empty_like(u_buf)  # the path keeps the old one
+            else:
+                path = [(t, row.copy() if row.base is u_buf else row) for t, row in path]
+            a0, a1 = self.anc_at[b0], self.anc_at[b1]
+            pairs = self.rank[a0:a1] - b0, self.anc[a0:a1]
+            # a step before its term's last fills the lanes of its block, so
+            # no term has two steps in one block, and the block of its last
+            # step, written later, sets out[z]
+            zs = self.zs[b0:b1]
+            self.out[zs] = _entropy_rows(self.o, zs, pairs, u, self.tab, logs_buf[:b1 - b0])
 
-    out[root] = _entropy_rows(o, [root], o.ancestor_pairs([root]), u_root[None, :], tab)[0]
-    tops = tree_children[root]
-    if workers <= 1 or len(tops) < 2:
-        walk(tops)
-    else:
+
+def conditional_entropies_all(o, workers=1):
+    """H(X_z, Y_xz | z) for every z, deterministic across worker counts.
+
+    One _Sweep schedules the walk for every term; its shares, runs of
+    whole subtrees of the root, run in at most `workers` threads. Every U
+    is an exact integer vector and each row is summed alone, so the
+    result does not depend on the worker count or the block bounds.
+    """
+    sweep, root = _Sweep(o), o.root_index
+    sweep.out[root] = _entropy_rows(o, [root], o.ancestor_pairs([root]), sweep.u_root[None, :],
+                                    sweep.tab)[0]
+    shares = sweep.shares(workers)
+    if len(shares) == 1:
+        sweep.walk(shares[0])
+    elif shares:
         # loaded here, so a single-worker process does not import it
         from concurrent.futures import ThreadPoolExecutor
 
-        # deal subtrees round-robin, to no more workers than subtrees; any
-        # split gives identical output
-        workers = min(workers, len(tops))
-        shares = [tops[k::workers] for k in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(walk, share) for share in shares]
-            for f in futures:
+        with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+            for f in [pool.submit(sweep.walk, share) for share in shares]:
                 f.result()
-    return out
+    return sweep.out
 
 
 def _table(metric, o, raw, undefined=frozenset()):

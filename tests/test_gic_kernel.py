@@ -7,7 +7,9 @@ lacks, so both halves of the update run. On DAGs this small every term
 is wide (a packed descendant row), so the tests also force the wide rule
 to each extreme, and to a mix, to run the narrow terms' lists. A term
 with more new ancestors than metrics._LANE_MAX is walked in several
-steps; the chain fixtures and a shrunk _LANE_MAX make such terms.
+steps; the chain fixtures and a shrunk _LANE_MAX make such terms. The
+schedule tests check the walk's layout (_Sweep) against sets, and the
+share test its cut into contiguous runs of whole subtrees of the root.
 """
 
 import itertools
@@ -126,7 +128,7 @@ def test_walk_matches_brute_force(spec):
 def test_walk_identical_across_workers(spec):
     o = build(spec)
     single = conditional_entropies_all(o, workers=1)
-    for workers in (2, 3):
+    for workers in (0, 2, 3):
         assert np.array_equal(single, conditional_entropies_all(o, workers=workers))
 
 
@@ -274,3 +276,149 @@ def test_walk_on_int32_lists_matches_uint16(spec):
         assert abs(long[0][zi] - brute(o, z)) <= 1e-9
     for got, want in zip(long, short):
         assert np.array_equal(got, want)
+
+
+def set_schedule(o):
+    """The walk's tree from Python sets: each term's reflexive
+    descendants, tree parent (the parent with the most ancestors, lowest
+    index on ties), new ancestors (ascending) and the tree's depth-first
+    preorder, children by ascending index, without the root."""
+    n, root = len(o), o.root_index
+    anc = [{o.index(a) for a in o.ancestors(t)} for t in o.ids]
+    tp = [min((-len(anc[o.index(p)]), o.index(p)) for p in o.parents(t))[1] if i != root else root
+          for i, t in enumerate(o.ids)]
+    new = [sorted(anc[z] - anc[tp[z]]) for z in range(n)]
+    children = [[z for z in range(n) if tp[z] == p and z != root] for p in range(n)]
+    order, stack = [], children[root][::-1]
+    while stack:
+        z = stack.pop()
+        stack.extend(reversed(children[z]))
+        order.append(z)
+    desc = [{x for x in range(n) if a in anc[x]} for a in range(n)]
+    return desc, tp, new, order
+
+
+def schedules(o):
+    """(schedule, steps per block, lanes per step) of the walk over o under
+    the real wide rule and each of WIDE_RULES, at the real block and lane
+    sizes and at blocks of two steps of at most two lanes."""
+    sizes = [(metrics._BLOCK_CELLS, metrics._LANE_MAX), (2 * len(o), 2)]
+    out = []
+    for cells, lane_max in sizes:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_BLOCK_CELLS", cells)
+            mp.setattr(metrics, "_LANE_MAX", lane_max)
+            sweeps = under_each_wide_rule(lambda: metrics._Sweep(o))
+        out += [(s, max(1, cells // len(o)), lane_max) for s in sweeps]
+    return out
+
+
+@common
+@given(dags())
+@example(EXTRA_ANCESTOR)
+@example(STEP_KINDS)
+def test_schedule_steps_follow_the_preorder(spec):
+    """Each non-root term has max(1, ceil(lanes / _LANE_MAX)) consecutive
+    steps in the tree's preorder, where its lanes are its new ancestors,
+    none for a leaf whose only new ancestor is itself; its first step
+    starts from its tree parent and each later one from the term."""
+    o = build(spec)
+    desc, tp, new, order = set_schedule(o)
+    for sweep, _, lane_max in schedules(o):
+        want_zs, want_source = [], []
+        for z in order:
+            lanes = 0 if new[z] == [z] and desc[z] == {z} else len(new[z])
+            steps = max(1, -(-lanes // lane_max))
+            want_zs += [z] * steps
+            want_source += [tp[z]] + [z] * (steps - 1)
+        assert sweep.zs.tolist() == sweep.terms == want_zs
+        assert sweep.source == want_source
+
+
+@common
+@given(dags())
+@example(EXTRA_ANCESTOR)
+@example(STEP_KINDS)
+def test_schedule_lanes_sum_to_the_new_ancestors_rows(spec):
+    """Each step's lanes, rebuilt from the schedule alone (the unpacked
+    comp rows, then each narrow lane's fill less a scatter of its narrow
+    new ancestors' descendant lists), sum to the count over the step's new
+    ancestors a of 1[x not in desc*(a)]; a step with no lane is a leaf
+    whose only new ancestor is itself."""
+    o = build(spec)
+    n = len(o)
+    desc, _, new, _ = set_schedule(o)
+    for sweep, _, lane_max in schedules(o):
+        b, k = sweep.bounds, 0
+        for i, z in enumerate(sweep.terms):
+            k = k + 1 if i and sweep.terms[i - 1] == z else 0
+            if sweep.lane_at[i] == sweep.lane_at[i + 1]:
+                assert new[z] == [z] and desc[z] == {z}
+                continue
+            block = max(j for j in range(len(b) - 1) if b[j] <= i)
+            lo, hi = sweep.lane_at[b[block]], sweep.lane_at[b[block + 1]]
+            rows = np.unpackbits(sweep.comp[sweep.lane_rows[lo:hi]], axis=1, bitorder="little")
+            rows = rows.astype(np.int64)
+            for j in range(sweep.fill_at[b[block]], sweep.fill_at[b[block + 1]]):
+                rows[sweep.fill_lane[j]] = sweep.fill[j]
+                for e in range(sweep.fill_entries[j], sweep.fill_entries[j + 1]):
+                    a = sweep.narrow[e]
+                    below = sweep.desc_idx[sweep.desc_ptr[a]:sweep.desc_ptr[a + 1]]
+                    np.subtract.at(rows.reshape(-1), sweep.narrow_offset[e] + below, 1)
+            got = rows[sweep.lane_at[i] - lo:sweep.lane_at[i + 1] - lo, :n].sum(axis=0)
+            step_new = new[z][k * lane_max:(k + 1) * lane_max]
+            want = [sum(x not in desc[a] for a in step_new) for x in range(n)]
+            assert got.tolist() == want
+
+
+@common
+@given(dags())
+@example(EXTRA_ANCESTOR)
+@example(STEP_KINDS)
+def test_schedule_blocks_stay_within_their_bounds(spec):
+    """No block holds more than max(1, _BLOCK_CELLS // n) steps or more
+    than _LANE_MAX lanes, and none spans two subtrees of the root."""
+    o = build(spec)
+    for sweep, per_block, lane_max in schedules(o):
+        b = sweep.bounds
+        assert b[0] == 0 and b[-1] == len(sweep.terms)
+        for b0, b1 in zip(b, b[1:]):
+            assert 1 <= b1 - b0 <= per_block
+            assert sweep.lane_at[b1] - sweep.lane_at[b0] <= lane_max
+            assert o.root_index not in sweep.source[b0 + 1:b1]
+
+
+def uneven_subtrees():
+    """A root over nine subtrees of 1 to 14 terms, each a chain with a
+    star at its foot."""
+    ids, edges = ["r"], []
+    for t, size in enumerate((1, 9, 2, 14, 3, 1, 12, 5, 6)):
+        chain = [f"t{t}c{i:02d}" for i in range(size)]
+        ids += chain
+        edges += [(chain[0], "r")] + [(c, p) for p, c in zip(chain, chain[1:max(2, size // 2)])]
+        edges += [(c, chain[max(0, size // 2 - 1)]) for c in chain[max(2, size // 2):]]
+    return build_ontology(ids, edges)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
+def test_shares_are_contiguous_runs_of_whole_subtrees(workers):
+    """Each share starts at a subtree of the root, the shares cover every
+    block once and in order, there are at most min(workers, subtrees) of
+    them, and none holds more than total / workers steps plus the largest
+    subtree's; the walk gives the same values at every worker count."""
+    o = uneven_subtrees()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_BLOCK_CELLS", 3 * len(o))
+        sweep = metrics._Sweep(o)
+    b, root = sweep.bounds, o.root_index
+    tops = [i for i in range(len(sweep.terms)) if sweep.source[i] == root]
+    sizes = np.diff(tops + [len(sweep.terms)])
+    shares = sweep.shares(workers)
+    assert 1 <= len(shares) <= min(workers, len(tops))
+    assert [s.start for s in shares[1:]] == [s.stop for s in shares[:-1]]
+    assert shares[0].start == 0 and shares[-1].stop == len(b) - 1
+    for s in shares:
+        assert sweep.source[b[s.start]] == root
+        assert b[s.stop] - b[s.start] <= len(sweep.terms) / workers + sizes.max()
+    expected = np.array([conditional_entropy_given(o, t) for t in o.ids])
+    assert np.array_equal(conditional_entropies_all(o, workers=workers), expected)
