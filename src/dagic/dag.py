@@ -15,9 +15,8 @@ offsets into it for each term's parents and, through one array of
 children ordered by parent, for each term's children.
 
 Code outside this module asks Ontology for what it needs from the
-closure: ancestor_pairs(indices), the (position, ancestor) pairs of
-the terms' lists; ancestor_union(indices), the sorted union of the
-terms' reflexive ancestors; under(a, xs), the members of xs that have a
+closure: ancestor_union(indices), the sorted union of the terms'
+reflexive ancestors; under(a, xs), the members of xs that have a
 as a reflexive ancestor; the anc_counts and desc_counts per term; and
 the ancestors/descendants set views. Only metrics reads anc_ptr and
 anc_idx directly: conditional_entropy_given, and the all-terms gIC
@@ -159,22 +158,12 @@ class Ontology:
                                side="right") - 1
         return frozenset(self.ids[x] for x in rows.tolist() if x != a)
 
-    def ancestor_pairs(self, indices):
-        """Two arrays (k, a), intp and of anc_idx's type: for each
-        position k of indices, a list of term indices, one pair per
-        reflexive ancestor a of the term at indices[k], by ascending k and
-        then ascending a."""
-        ptr = self._ptr_view
-        runs = [self.anc_idx[ptr[i]:ptr[i + 1]] for i in indices]
-        if not runs:
-            return np.empty(0, dtype=np.intp), self.anc_idx[:0].copy()
-        return np.repeat(np.arange(len(runs)), [len(r) for r in runs]), np.concatenate(runs)
-
     def ancestor_union(self, indices):
         """Sorted term indices (an array of anc_idx's type) of the union
         of the reflexive ancestors of the terms at indices, a list of
         term indices; empty for an empty list."""
-        anc = self.ancestor_pairs(indices)[1]
+        ptr, idx = self._ptr_view, self.anc_idx
+        anc = np.concatenate([idx[:0], *(idx[ptr[i]:ptr[i + 1]] for i in indices)])
         if len(indices) > 1:
             anc.sort()
             anc = anc[np.append(True, anc[1:] != anc[:-1])]

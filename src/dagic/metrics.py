@@ -84,14 +84,15 @@ def conditional_entropy_given(o, z):
     Y_xz = (N \\ (desc(x) | anc(x) | anc(z))) | {root}."""
     n = len(o)
     zi = o.index(z)
-    pairs = o.ancestor_pairs([zi])
+    anc = o.anc_idx[o.anc_ptr[zi]:o.anc_ptr[zi + 1]]
     in_anc = np.zeros(n, dtype=np.uint8)
-    in_anc[pairs[1]] = 1
+    in_anc[anc] = 1
     # |anc(x) & anc(z)| for every x, summed over x's ancestor list
     shared = np.add.reduceat(in_anc[o.anc_idx], o.anc_ptr[:-1], dtype=np.intp)
-    # |Y_xz| - (2 - n) for x outside anc(z); see _entropy_rows
+    # |Y_xz| - (2 - n) for x outside anc(z), 0 for its ancestors; see _entropy_rows
     u = _second_term_counts(o) + shared - (o.anc_counts[zi] + 2 - n)
-    return float(_entropy_rows(o, [zi], pairs, u[None, :], _log2_table(n))[0])
+    u[anc] = 0
+    return float(_entropy_rows(o, [zi], u[None, :], _log2_table(n))[0])
 
 
 def _log2_table(n):
@@ -101,33 +102,34 @@ def _log2_table(n):
     |Y_x| = n + 1 - |anc(x)| - |desc(x)| lies in [1, n + 1 - |anc(x)|]
     and 1 <= S_z[x] <= |anc(x)|, so |Y_x| - |anc(z)| + S_z[x] lies in
     [2 - n, n] and its index in [0, 2n - 2]. Values below 1 occur only
-    for x in anc(z), whose entries are zeroed anyway; the table holds 0
-    there.
+    for x in anc(z), which leave X_z: the table holds 0 at every index
+    below n - 1, so a row masks such an x with any index <= n - 2
+    (negative ones included, which a "clip" take reads as index 0).
     """
     tab = np.zeros(2 * n - 1)
     tab[n - 1:] = np.log2(np.arange(1, n + 1, dtype=np.float64))
     return tab
 
 
-def _entropy_rows(o, zs, pairs, u, tab, logs=None):
+def _entropy_rows(o, zs, u, tab, logs=None):
     """H(X_z, Y_xz | z) for each z in zs from rows that arrive as table
-    indices, u[i] = |Y_xz| - (2 - n) for x outside anc(z).
+    indices, u[i] = |Y_xz| - (2 - n) for x outside anc(z) and at most 0
+    for x in anc(z).
 
-    pairs are the (row, ancestor) pairs of the terms' ancestor lists, as
-    o.ancestor_pairs(zs) gives them; u is an intp array; logs, if given,
-    is float64 scratch of u's shape.
+    u is an intp array; logs, if given, is float64 scratch of u's shape.
 
     S_z[x] = |anc(x) & anc(z)|. For x outside anc(z), desc(x) and anc(z)
     are disjoint (a descendant of x above z would put x above z), so
     |Y_xz| = |Y_x| - |anc(z)| + S_z[x], looked up in tab. The terms of
     anc(z) leave X_z; the root, which is re-admitted, has
-    Y_root,z = {root} and adds log2(1) = 0, so every ancestor's entry is
-    zeroed. Each row is summed alone, in the order of a 1-D sum, so a
-    term's value does not depend on the rows beside it.
+    Y_root,z = {root} and adds log2(1) = 0, so every ancestor's entry
+    reads 0 from the table (_log2_table). Each row is summed alone, in
+    the order of a 1-D sum, so a term's value does not depend on the rows
+    beside it.
     """
-    # every index is in range; mode="raise" would buffer the whole output
+    # a masked entry can be negative: "clip" reads it as index 0, and
+    # mode="raise" would buffer the whole output
     logs = tab.take(u, out=logs, mode="clip")
-    logs[pairs] = 0.0
     return _joint_bits(len(o) - o.anc_counts[zs] + 1, logs.sum(axis=1))
 
 
@@ -242,13 +244,20 @@ class _Sweep:
     ancestors into consecutive steps of at most _LANE_MAX, as many as a
     term needs and at least one. A term's first step starts from its tree
     parent's U (source) and each later one from its previous step's, so a
-    step before a term's last holds exactly _LANE_MAX. The steps'
-    ancestor and new lists lie end to end and are cut into blocks of
-    consecutive steps (bounds): a block opens where a subtree of the root
-    starts and before a step that would give it more than
-    _BLOCK_CELLS // n steps (at least one) or more than _LANE_MAX new
-    ancestors, so its ancestor lists and new ancestors are contiguous
-    slices.
+    step before a term's last holds exactly _LANE_MAX. The steps' new
+    ancestors lie end to end, step i's at new[new_at[i]:new_at[i + 1]],
+    and the steps are cut into blocks of consecutive steps (bounds): a
+    block opens where a subtree of the root starts and before a step that
+    would give it more than _BLOCK_CELLS // n steps (at least one) or
+    more than _LANE_MAX new ancestors, so its new ancestors are a
+    contiguous slice.
+
+    The rows carry each term's mask of its ancestors: an entry is set to
+    0 in the row where its term becomes an ancestor, which is the root's
+    own entry in U_root and each step's new ancestors in that step's row.
+    Every entry outside anc(z) is at least n - 1, and steps only subtract,
+    so a masked entry stays at most 0 in every row below and reads 0 from
+    the table (_log2_table).
 
     Step i's lanes, lane_at[i] to lane_at[i + 1], are the byte rows it
     subtracts: the unpacked complemented row comp[lane_rows[l]] of each
@@ -259,8 +268,9 @@ class _Sweep:
     block, with fill[j] narrow new ancestors narrow[fill_entries[j]:
     fill_entries[j + 1]]; entry e's scatter starts at narrow_offset[e],
     its lane times the unpacked row's width. A leaf whose only new
-    ancestor is itself has no lane: it takes U_p - 1 (its own entry is
-    masked as an ancestor, and no term inherits from it).
+    ancestor is itself has no lane and no new list: it takes U_p - 1,
+    which is off only at its own entry, and masks that entry (no term
+    inherits from it).
     """
 
     def __init__(self, o):
@@ -268,6 +278,7 @@ class _Sweep:
         self.o, self.root, self.out = o, root, np.empty(n)
         self.tab = _log2_table(n)
         self.u_root = _second_term_counts(o) + (n - 2)
+        self.u_root[root] = 0
         self.per_block = max(1, _BLOCK_CELLS // n)
         # tree parent: the parent with the most ancestors, lowest index on
         # ties, i.e. each child's first edge by (child, n - count, parent);
@@ -314,14 +325,11 @@ class _Sweep:
                 start, used = i, 0
             used += r
         self.bounds.append(len(zs))
-        # the steps' ancestor lists, their rows' positions among the steps
-        # (which can outnumber the terms), and their new ancestors, each
-        # laid end to end
-        pos, anc_at = _runs(o.anc_ptr[zs], counts[zs], len(o.anc_idx))
-        self.anc = o.anc_idx.take(pos)
-        self.rank = np.repeat(np.arange(len(zs), dtype=np.min_scalar_type(len(zs))), counts[zs])
+        # the steps' new ancestors, laid end to end; walk masks with an intp
+        # copy, which writes a row faster than a narrow index
         pos, new_at = _runs(new_ptr[zs] + k * _LANE_MAX, lanes_of, len(new_idx))
         new = new_idx.take(pos)
+        self.new = new.astype(np.intp)
         del pos, k, new_idx
         # a new ancestor starts a lane if it is wide or its step's first
         # narrow one
@@ -358,7 +366,7 @@ class _Sweep:
         self.hit_at = scattered.take(self.fill_entries).tolist()
         self.fill_entries, self.fill_at = self.fill_entries.tolist(), fill_at.tolist()
         self.lane_at = lane_at.take(new_at).tolist()
-        self.anc_at = anc_at.tolist()
+        self.new_at = new_at.tolist()
 
     def shares(self, workers):
         """The blocks as at most `workers` ranges, each a run of whole
@@ -381,14 +389,14 @@ class _Sweep:
         scatters their descendant lists, laid out a window of whole blocks
         at a time (at most _BLOCK_CELLS entries, or one block). Each step
         subtracts its lanes from its source's U: one lane alone, or a uint8
-        reduce of several, which cannot wrap. The block's entropies come
-        from one table lookup and one row sum (_entropy_rows); a term's last
-        step sets its value. In preorder every step's source lies on the
-        path to the previous step, so only that path's U rows, one per step
-        on it, outlive a block.
+        reduce of several, which cannot wrap, and then masks its new
+        ancestors. The block's entropies come from one table lookup and one
+        row sum (_entropy_rows); a term's last step sets its value. In
+        preorder every step's source lies on the path to the previous step,
+        so only that path's U rows, one per step on it, outlive a block.
         """
         n, bounds, lane_at, fill_at = len(self.o), self.bounds, self.lane_at, self.fill_at
-        hit_at = self.hit_at
+        hit_at, new, new_at = self.hit_at, self.new, self.new_at
         path = [(self.root, self.u_root)]  # (term, U) from the root to the last step
         u_buf = np.empty((self.per_block, n), dtype=np.intp)
         logs_buf = np.empty((self.per_block, n))
@@ -416,24 +424,24 @@ class _Sweep:
                 src, start, stop = path[-1][1], lane_at[i] - lo, lane_at[i + 1] - lo
                 if start == stop:
                     np.subtract(src, 1, out=u_z)
+                    u_z[self.terms[i]] = 0
                     continue  # a leaf: no term's tree parent
                 if stop - start == 1:
                     np.subtract(src, block[start, :n], out=u_z)
                 else:
                     np.subtract(src, np.add.reduce(block[start:stop], axis=0, dtype=np.uint8)[:n],
                                 out=u_z)
+                u_z[new[new_at[i]:new_at[i + 1]]] = 0
                 path.append((self.terms[i], u_z))
             if len(u_buf) == 1 and path[-1][1].base is u_buf:
                 u_buf = np.empty_like(u_buf)  # the path keeps the old one
             else:
                 path = [(t, row.copy() if row.base is u_buf else row) for t, row in path]
-            a0, a1 = self.anc_at[b0], self.anc_at[b1]
-            pairs = self.rank[a0:a1] - b0, self.anc[a0:a1]
             # a step before its term's last fills the lanes of its block, so
             # no term has two steps in one block, and the block of its last
             # step, written later, sets out[z]
             zs = self.zs[b0:b1]
-            self.out[zs] = _entropy_rows(self.o, zs, pairs, u, self.tab, logs_buf[:b1 - b0])
+            self.out[zs] = _entropy_rows(self.o, zs, u, self.tab, logs_buf[:b1 - b0])
 
 
 def conditional_entropies_all(o, workers=1):
@@ -445,8 +453,7 @@ def conditional_entropies_all(o, workers=1):
     result does not depend on the worker count or the block bounds.
     """
     sweep, root = _Sweep(o), o.root_index
-    sweep.out[root] = _entropy_rows(o, [root], o.ancestor_pairs([root]), sweep.u_root[None, :],
-                                    sweep.tab)[0]
+    sweep.out[root] = _entropy_rows(o, [root], sweep.u_root[None, :], sweep.tab)[0]
     shares = sweep.shares(workers)
     if len(shares) == 1:
         sweep.walk(shares[0])

@@ -125,6 +125,46 @@ def test_walk_matches_brute_force(spec):
 @common
 @given(dags())
 @example(EXTRA_ANCESTOR)
+@example(STEP_KINDS)
+def test_rows_mask_each_terms_ancestors(spec):
+    """The row that sets each term z's value, the root's included, holds
+    |Y_xz| + n - 2 for every x outside anc(z) and at most 0 for every x
+    in anc(z), under every wide rule, with blocks of one step and with
+    terms cut into steps of two lanes. The root's entry reads 0 from the
+    table either way, so only the rows show its mask."""
+    o = build(spec)
+    n = len(o)
+    anc = [{o.index(a) for a in o.ancestors(t)} for t in o.ids]
+    desc = [{x for x in range(n) if a in anc[x]} for a in range(n)]
+    real, rows = metrics._entropy_rows, {}
+
+    def record(o, zs, u, tab, logs=None):
+        # a term's last step comes last, so its row is the one kept
+        rows.update(zip(np.asarray(zs).tolist(), u.copy()))
+        return real(o, zs, u, tab, logs)
+
+    def check():
+        rows.clear()
+        conditional_entropies_all(o)
+        assert sorted(rows) == list(range(n))
+        for z, row in rows.items():
+            for x in range(n):
+                if x in anc[z]:
+                    assert row[x] <= 0, (z, x)
+                else:
+                    assert row[x] == 2 * n - 1 - len(desc[x] | anc[x] | anc[z]), (z, x)
+
+    for cells, lane_max in ((metrics._BLOCK_CELLS, metrics._LANE_MAX), (n, 2)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_entropy_rows", record)
+            mp.setattr(metrics, "_BLOCK_CELLS", cells)
+            mp.setattr(metrics, "_LANE_MAX", lane_max)
+            under_each_wide_rule(check)
+
+
+@common
+@given(dags())
+@example(EXTRA_ANCESTOR)
 def test_walk_identical_across_workers(spec):
     o = build(spec)
     single = conditional_entropies_all(o, workers=1)
