@@ -20,7 +20,8 @@ reflexive ancestors; under(a, xs), the members of xs that have a
 as a reflexive ancestor; the anc_counts and desc_counts per term; and
 the ancestors/descendants set views. Only metrics reads anc_ptr and
 anc_idx directly: conditional_entropy_given, and the all-terms gIC
-sweep's _descendant_store, _new_ancestors and _Sweep schedule.
+sweep's _descendant_store (which also finds each term's new ancestors)
+and _Sweep schedule.
 
 build_ontology takes the DAG one level at a time from the root (Kahn's
 algorithm in rounds): each round settles its level's depths, finds the

@@ -89,32 +89,30 @@ def conditional_entropy_given(o, z):
     in_anc[anc] = 1
     # |anc(x) & anc(z)| for every x, summed over x's ancestor list
     shared = np.add.reduceat(in_anc[o.anc_idx], o.anc_ptr[:-1], dtype=np.intp)
-    # |Y_xz| - (2 - n) for x outside anc(z), 0 for its ancestors; see _entropy_rows
-    u = _second_term_counts(o) + shared - (o.anc_counts[zi] + 2 - n)
+    # |Y_xz| for x outside anc(z), 0 for its ancestors; see _entropy_rows
+    u = _second_term_counts(o) + shared - o.anc_counts[zi]
     u[anc] = 0
     return float(_entropy_rows(o, [zi], u[None, :], _log2_table(n))[0])
 
 
 def _log2_table(n):
-    """log2 of every |Y_xz| a row can hold, at index |Y_xz| - (2 - n):
-    the rows of _entropy_rows arrive as these indices.
+    """log2 k at index k for every size 1 <= k <= n that |Y_xz| can take,
+    and 0 at index 0: the rows of _entropy_rows arrive as these indices.
 
-    |Y_x| = n + 1 - |anc(x)| - |desc(x)| lies in [1, n + 1 - |anc(x)|]
-    and 1 <= S_z[x] <= |anc(x)|, so |Y_x| - |anc(z)| + S_z[x] lies in
-    [2 - n, n] and its index in [0, 2n - 2]. Values below 1 occur only
-    for x in anc(z), which leave X_z: the table holds 0 at every index
-    below n - 1, so a row masks such an x with any index <= n - 2
-    (negative ones included, which a "clip" take reads as index 0).
+    For x outside anc(z), Y_xz holds the root and no more than Y_x, and
+    |Y_x| = n + 1 - |anc(x)| - |desc(x)| <= n. The terms of anc(z) leave
+    X_z, so a row masks such an x with any index <= 0, which a "clip"
+    take reads as index 0.
     """
-    tab = np.zeros(2 * n - 1)
-    tab[n - 1:] = np.log2(np.arange(1, n + 1, dtype=np.float64))
+    tab = np.zeros(n + 1)
+    tab[1:] = np.log2(np.arange(1, n + 1, dtype=np.float64))
     return tab
 
 
 def _entropy_rows(o, zs, u, tab, logs=None):
     """H(X_z, Y_xz | z) for each z in zs from rows that arrive as table
-    indices, u[i] = |Y_xz| - (2 - n) for x outside anc(z) and at most 0
-    for x in anc(z).
+    indices, u[i] = |Y_xz| for x outside anc(z) and at most 0 for x in
+    anc(z).
 
     u is an intp array; logs, if given, is float64 scratch of u's shape.
 
@@ -151,9 +149,12 @@ def _is_wide(sizes, n):
     return sizes * 64 > n
 
 
-def _descendant_store(o):
+def _descendant_store(o, tp):
     """Every term's reflexive descendants, read off the ancestor lists (x
-    is a descendant of a when a is in x's list), as (slot, comp, ptr, idx).
+    is a descendant of a when a is in x's list), as (slot, comp, ptr, idx),
+    and then the entries a of each term z's list, in list order, that are
+    missing from its tree parent tp[z]'s: those whose descendants lack
+    tp[z]. This is the one pass over the lists that _Sweep makes.
 
     A wide term a (_is_wide) has the complemented packed row comp[slot[a]]
     of ceil(n / 8) bytes, bit x clear when x is a descendant; comp's last
@@ -161,10 +162,15 @@ def _descendant_store(o):
     its descendants ascending in idx[ptr[a]:ptr[a + 1]], of anc_idx's
     type; a wide term's list is empty.
 
-    Each list entry (x, a) clears bit x of a bool row: a's own if a is
-    wide, else a spare row after the ones row that the packing drops. The
-    narrow entries, stably sorted by ancestor, give the lists."""
-    n, anc = len(o), o.anc_idx
+    Each list entry (z, a) clears bit z of a bool row: a's own if a is
+    wide, else a spare row after the ones row that the packing drops.
+    Moved to bit tp[z], the same entry then reads whether a wide a is new.
+    For a narrow a, the keys z * n + a of the narrow entries ascend, and
+    so do the keys of the parents' narrow entries relabelled to the child
+    z; anc(tp[z]) is inside anc(z), so one search finds every one of the
+    latter, and the narrow entries it misses are new. The narrow entries,
+    stably sorted by ancestor, give the lists."""
+    n, anc, counts = len(o), o.anc_idx, o.anc_counts
     sizes = o.desc_counts + 1
     wide = _is_wide(sizes, n)
     ones = int(np.count_nonzero(wide))
@@ -175,53 +181,35 @@ def _descendant_store(o):
     dtype = np.int32 if spare + width < 2**31 else np.int64
     first = np.full(n, spare, dtype=dtype)  # each term's row's first bit
     first[wide] = np.arange(0, ones * width, width)
-    flat = first.take(anc)
-    flat += np.repeat(np.arange(n, dtype=dtype), o.anc_counts)
+    terms = np.arange(n, dtype=dtype)
+    pos = first.take(anc)
+    pos += np.repeat(terms, counts)
     bits = np.ones((ones + 2, width), dtype=bool)
-    bits.reshape(-1)[flat] = False
+    bits.reshape(-1)[pos] = False
+    # bit tp[z] of the same row, set when a wide a is not over tp[z]
+    pos -= np.repeat(terms - tp.astype(dtype), counts)
+    new = bits.reshape(-1)[pos]
     comp = np.packbits(bits[:-1], axis=1, bitorder="little")
     del bits
-    narrow = np.flatnonzero(flat >= spare)
-    del flat
-    x = (np.searchsorted(o.anc_ptr, narrow, side="right") - 1).astype(anc.dtype)
-    idx = x.take(np.argsort(anc.take(narrow), kind="stable"))
-    sizes[wide] = 0
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(sizes, out=ptr[1:])
-    return slot, comp, ptr, idx
-
-
-def _new_ancestors(o, tp, comp, slot):
-    """The entries a of each term z's ancestor list, in list order, that
-    are missing from its tree parent tp[z]'s: those whose descendants
-    lack tp[z]. slot and comp are _descendant_store's.
-
-    A wide a is tested at bit tp[z] of its row, one byte per list entry.
-    For a narrow a, the keys z * n + a of the narrow entries ascend, and
-    so do the keys of the parents' narrow entries relabelled to the
-    child z; anc(tp[z]) is inside anc(z), so one search finds every one
-    of the latter, and the narrow entries it misses are new."""
-    n, counts = len(o), o.anc_counts
-    row_bytes = comp.shape[1]
-    offset = slot.astype(np.int32 if comp.nbytes < 2**31 else np.int64) * row_bytes
-    offset = offset.take(o.anc_idx)
-    offset += np.repeat((tp >> 3).astype(offset.dtype), counts)
-    byte = comp.ravel().take(offset)
-    byte &= np.repeat(np.left_shift(1, tp & 7).astype(np.uint8), counts)
-    narrow = np.flatnonzero(offset >= (len(comp) - 1) * row_bytes)
-    del offset
+    narrow = np.flatnonzero(pos >= spare)
+    del pos
     narrow_ptr = np.searchsorted(narrow, o.anc_ptr)
     narrow_counts = np.diff(narrow_ptr)
-    below = o.anc_idx.take(narrow)
+    below = anc.take(narrow)
     keys = np.repeat(np.arange(0, n * n, n, dtype=np.int64), narrow_counts)
     keys += below
     inherited = np.repeat(np.arange(0, n * n, n, dtype=np.int64), narrow_counts[tp])
     inherited += below.take(_runs(narrow_ptr[tp], narrow_counts[tp], len(narrow))[0])
-    found = np.zeros(len(narrow), dtype=np.uint8)
-    found[np.searchsorted(keys, inherited)] = 1
+    missed = np.ones(len(narrow), dtype=bool)
+    missed[np.searchsorted(keys, inherited)] = False
     del keys, inherited
-    byte[narrow] = 1 - found
-    return o.anc_idx.compress(byte != 0)
+    new[narrow] = missed
+    x = np.repeat(np.arange(n, dtype=anc.dtype), narrow_counts)
+    idx = x.take(np.argsort(below, kind="stable"))
+    sizes[wide] = 0
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sizes, out=ptr[1:])
+    return slot, comp, ptr, idx, anc.compress(new)
 
 
 class _Sweep:
@@ -229,15 +217,15 @@ class _Sweep:
     for every term but the root; walk() runs a share of its blocks.
 
     The walk carries each term's row as the table indices that
-    _entropy_rows reads, U_z[x] = |Y_x| + |anc(x) & anc(z)| - |anc(z)| +
-    n - 2, down a spanning tree of the DAG: each non-root z hangs under
-    its parent p with the most ancestors, U_root = |Y_x| + n - 2, and
+    _entropy_rows reads, U_z[x] = |Y_xz| = |Y_x| + |anc(x) & anc(z)| -
+    |anc(z)|, down a spanning tree of the DAG: each non-root z hangs under
+    its parent p with the most ancestors, U_root = |Y_x|, and
     U_z = U_p - sum of 1[x not in desc*(a)] over a in new(z) =
-    anc(z) \\ anc(p), where desc* is the reflexive descendant set. The
-    descendant sets come from _descendant_store(): a complemented packed
-    row for each wide term and a sorted list for each narrow one. One
-    pass over the ancestor lists gives every term's new ancestors,
-    ascending (_new_ancestors).
+    anc(z) \\ anc(p), where desc* is the reflexive descendant set. One
+    pass over the ancestor lists, _descendant_store(), gives the
+    descendant sets (a complemented packed row for each wide term and a
+    sorted list for each narrow one) and every term's new ancestors,
+    ascending.
 
     The schedule takes the terms in one depth-first preorder of the tree,
     so each subtree of the root is one run, and cuts each term's new
@@ -255,7 +243,7 @@ class _Sweep:
     The rows carry each term's mask of its ancestors: an entry is set to
     0 in the row where its term becomes an ancestor, which is the root's
     own entry in U_root and each step's new ancestors in that step's row.
-    Every entry outside anc(z) is at least n - 1, and steps only subtract,
+    Every entry outside anc(z) is at least 1, and steps only subtract,
     so a masked entry stays at most 0 in every row below and reads 0 from
     the table (_log2_table).
 
@@ -277,22 +265,20 @@ class _Sweep:
         n, root, counts = len(o), o.root_index, o.anc_counts
         self.o, self.root, self.out = o, root, np.empty(n)
         self.tab = _log2_table(n)
-        self.u_root = _second_term_counts(o) + (n - 2)
+        self.u_root = _second_term_counts(o)
         self.u_root[root] = 0
         self.per_block = max(1, _BLOCK_CELLS // n)
         # tree parent: the parent with the most ancestors, lowest index on
-        # ties, i.e. each child's first edge by (child, n - count, parent);
-        # the edges come sorted by (child, parent), so two stable sorts give it
+        # ties, i.e. each child's first edge by (child, -count, parent); the
+        # edges come sorted by (child, parent), and lexsort is stable
         child, parent = o.edges.T
-        picks = np.argsort(n - counts[parent], kind="stable")
-        picks = picks[np.argsort(child[picks], kind="stable")]
+        picks = np.lexsort((-counts[parent], child))
         picks = picks[np.diff(child[picks], prepend=-1) != 0]
         tp = np.full(n, root)
         tp[child[picks]] = parent[picks]
 
-        slot, self.comp, self.desc_ptr, self.desc_idx = _descendant_store(o)
+        slot, self.comp, self.desc_ptr, self.desc_idx, new_idx = _descendant_store(o, tp)
         self.width = 8 * self.comp.shape[1]  # bytes of an unpacked row: n, then padding
-        new_idx = _new_ancestors(o, tp, self.comp, slot)
         # anc(p) is inside anc(z), so |anc(z) \\ anc(p)| is a difference
         new_counts = counts - counts[tp]
         new_ptr = np.zeros(n + 1, dtype=np.int64)
@@ -354,7 +340,8 @@ class _Sweep:
         # the scatter entries, lane * width + x for each descendant x of a
         # narrow new ancestor: each narrow lane's first, and each block's
         self.narrow = new.take(narrow)
-        self.sizes = np.diff(self.desc_ptr).take(self.narrow)
+        # a narrow term has at most n / 64 descendants
+        self.sizes = np.diff(self.desc_ptr).take(self.narrow).astype(np.int32)
         scattered = np.zeros(len(narrow) + 1, dtype=np.int64)
         np.cumsum(self.sizes, out=scattered[1:])
         self.fill_entries = np.append(starts, len(narrow))
@@ -488,11 +475,9 @@ def gic(o, workers=1):
     """Graph-derived IC: gic(z) = (H - H(.|z)) / H, max-normalized."""
     if len(o) < 2:
         raise DegenerateOntology()
-    h = ontology_entropy(o).total_bits
     cond = conditional_entropies_all(o, workers=workers)
-    raw = (h - cond) / h
-    raw[o.root_index] = 0.0  # exact; X_root = N and Y_x,root = Y_x
-    return _table("gic", o, raw)
+    h = cond[o.root_index]  # H(.|root) is H: X_root = N and Y_x,root = Y_x
+    return _table("gic", o, (h - cond) / h)
 
 
 def sic(o):

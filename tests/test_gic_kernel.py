@@ -81,7 +81,8 @@ def test_descendant_store_matches_sets(spec):
     complemented row has bit x clear exactly for its reflexive
     descendants x, the last row is all ones, and a narrow term lists its
     descendants ascending, in the ancestor lists' type; a wide term
-    lists none."""
+    lists none. The same pass gives each term's ancestors missing from
+    its tree parent's, ascending and term by term."""
     n, parents = spec
     anc = [{0}]  # reflexive ancestors by node number
     for i, ps in enumerate(parents, start=1):
@@ -94,8 +95,9 @@ def test_descendant_store_matches_sets(spec):
         node = [int(t[1:]) for t in o.ids]
         below = [[x for x in range(n) if node[a] in anc[node[x]]] for a in range(n)]
         sizes = np.array([len(b) for b in below])
-        stores = under_each_wide_rule(lambda: metrics._descendant_store(o))
-        for rule, (slot, comp, ptr, idx) in zip(rules, stores):
+        _, tp, new_sets, _ = set_schedule(o)
+        stores = under_each_wide_rule(lambda: metrics._descendant_store(o, np.array(tp)))
+        for rule, (slot, comp, ptr, idx, new) in zip(rules, stores):
             wide = rule(sizes, n)
             ones = len(comp) - 1
             assert np.array_equal(slot != ones, wide) and slot[wide].tolist() == list(range(ones))
@@ -107,6 +109,7 @@ def test_descendant_store_matches_sets(spec):
             assert idx.dtype == dtype
             assert [idx[ptr[a]:ptr[a + 1]].tolist() for a in range(n)] == [
                 [] if wide[a] else below[a] for a in range(n)]
+            assert new.tolist() == [a for z in range(n) for a in new_sets[z]]
 
 
 @common
@@ -128,10 +131,11 @@ def test_walk_matches_brute_force(spec):
 @example(STEP_KINDS)
 def test_rows_mask_each_terms_ancestors(spec):
     """The row that sets each term z's value, the root's included, holds
-    |Y_xz| + n - 2 for every x outside anc(z) and at most 0 for every x
-    in anc(z), under every wide rule, with blocks of one step and with
-    terms cut into steps of two lanes. The root's entry reads 0 from the
-    table either way, so only the rows show its mask."""
+    |Y_xz| = n + 1 - |desc(x) | anc(x) | anc(z)| for every x outside
+    anc(z) and at most 0 for every x in anc(z), under every wide rule,
+    with blocks of one step and with terms cut into steps of two lanes.
+    The root's entry reads 0 from the table either way, so only the rows
+    show its mask."""
     o = build(spec)
     n = len(o)
     anc = [{o.index(a) for a in o.ancestors(t)} for t in o.ids]
@@ -152,7 +156,7 @@ def test_rows_mask_each_terms_ancestors(spec):
                 if x in anc[z]:
                     assert row[x] <= 0, (z, x)
                 else:
-                    assert row[x] == 2 * n - 1 - len(desc[x] | anc[x] | anc[z]), (z, x)
+                    assert row[x] == n + 1 - len(desc[x] | anc[x] | anc[z]), (z, x)
 
     for cells, lane_max in ((metrics._BLOCK_CELLS, metrics._LANE_MAX), (n, 2)):
         with pytest.MonkeyPatch.context() as mp:
