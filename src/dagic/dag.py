@@ -343,17 +343,21 @@ def _closure_rows(n, steps, first, width):
 
 def _set_bits(rows, counts, base, dtype):
     """base plus the positions of the set bits of packed rows, counts[i]
-    of them in row i, as a dtype array in row-major order. Rows are read
-    in chunks of about _CHUNK_BYTES // 64 set bits, and only a chunk's
-    nonzero words are unpacked, to at most _CHUNK_BYTES bytes."""
-    ends = np.cumsum(counts)
-    total = int(ends[-1])
-    out = np.empty(total, dtype=dtype)
+    of them in row i, as a dtype array in row-major order. Only the rows
+    with a bit set are read: they are gathered in chunks of at most
+    _CHUNK_BYTES of rows (or one row) and about _CHUNK_BYTES // 64 set
+    bits, and only a chunk's nonzero words are unpacked, to at most
+    _CHUNK_BYTES bytes."""
+    live = np.flatnonzero(counts)
+    ends = np.zeros(len(live) + 1, dtype=np.int64)
+    np.cumsum(counts[live], out=ends[1:])
+    out = np.empty(ends[-1], dtype=dtype)
     per_chunk = _CHUNK_BYTES // _WORD
-    cuts = np.searchsorted(ends, np.arange(per_chunk, total, per_chunk), side="right")
-    bounds = sorted({0, len(rows), *cuts.tolist()})
+    cuts = np.searchsorted(ends, np.arange(per_chunk, ends[-1], per_chunk), side="right") - 1
+    per_gather = max(1, _CHUNK_BYTES // rows[:1].nbytes)
+    bounds = sorted({len(live), *cuts.tolist(), *range(0, len(live), per_gather)})
     for r0, r1 in zip(bounds, bounds[1:]):
-        words = rows[r0:r1].ravel()
+        words = rows[live[r0:r1]].ravel()
         at = np.flatnonzero(words)
         bits = np.flatnonzero(np.unpackbits(words[at].view(np.uint8),
                                             bitorder="little").view(bool))
@@ -361,5 +365,5 @@ def _set_bits(rows, counts, base, dtype):
         got <<= 6
         got |= bits & (_WORD - 1)
         got += base
-        out[ends[r0] - counts[r0]:ends[r1 - 1]] = got
+        out[ends[r0]:ends[r1]] = got
     return out

@@ -259,6 +259,12 @@ class _Sweep:
     ancestor is itself has no lane and no new list: it takes U_p - 1,
     which is off only at its own entry, and masks that entry (no term
     inherits from it).
+
+    The schedule is kept as the numpy arrays it is computed as, none as
+    a Python list: per step zs (the term) and source, and lane_at, new_at
+    and fill_at with one more entry for the end; per block window, and
+    bounds with the end; per narrow lane hit_at, and fill_entries with
+    the end. walk() reads the per-step ones as lists a chunk at a time.
     """
 
     def __init__(self, o):
@@ -303,14 +309,16 @@ class _Sweep:
         self.zs = zs = np.repeat(np.array(order, dtype=np.intp), steps)
         k = np.arange(len(zs)) - np.repeat(np.cumsum(steps) - steps, steps)
         lanes_of = np.minimum(np.repeat(term_lanes, steps) - k * _LANE_MAX, _LANE_MAX)
-        self.terms, self.source = zs.tolist(), np.where(k == 0, tp[zs], zs).tolist()
-        self.bounds, start, used = [], 0, 0
-        for i, (r, s) in enumerate(zip(lanes_of.tolist(), self.source)):
+        self.source = np.where(k == 0, tp[zs], zs)
+        bounds, start, used = [], 0, 0
+        for i, (r, s) in enumerate(zip(lanes_of.tolist(), self.source.tolist())):
             if s == root or i - start == self.per_block or used + r > _LANE_MAX:
-                self.bounds.append(i)
+                bounds.append(i)
                 start, used = i, 0
             used += r
-        self.bounds.append(len(zs))
+        bounds.append(len(zs))
+        self.bounds = np.array(bounds)
+        del bounds
         # the steps' new ancestors, laid end to end; walk masks with an intp
         # copy, which writes a row faster than a narrow index
         pos, new_at = _runs(new_ptr[zs] + k * _LANE_MAX, lanes_of, len(new_idx))
@@ -349,18 +357,18 @@ class _Sweep:
         # walk lays out the scatter entries of a window of whole blocks at
         # once, from block b to window[b]: at most _BLOCK_CELLS, or block b's
         window = np.searchsorted(block_hits, block_hits[:-1] + _BLOCK_CELLS, "right") - 1
-        self.window = np.maximum(window, np.arange(1, len(block_hits))).tolist()
-        self.hit_at = scattered.take(self.fill_entries).tolist()
-        self.fill_entries, self.fill_at = self.fill_entries.tolist(), fill_at.tolist()
-        self.lane_at = lane_at.take(new_at).tolist()
-        self.new_at = new_at.tolist()
+        self.window = np.maximum(window, np.arange(1, len(block_hits)))
+        self.hit_at = scattered.take(self.fill_entries)
+        self.fill_at = fill_at
+        self.lane_at = lane_at.take(new_at)
+        self.new_at = new_at
 
     def shares(self, workers):
         """The blocks as at most `workers` ranges, each a run of whole
         subtrees of the root, cut at the subtree starts nearest to equal
         shares of the steps."""
-        bounds = np.array(self.bounds)
-        tops = np.flatnonzero(np.array(self.source)[bounds[:-1]] == self.root)
+        bounds = self.bounds
+        tops = np.flatnonzero(self.source[bounds[:-1]] == self.root)
         firsts = np.append(tops, len(bounds) - 1)
         at = bounds[firsts]  # the subtrees' first steps, then the step count
         w = min(max(1, workers), len(tops))
@@ -381,20 +389,35 @@ class _Sweep:
         row sum (_entropy_rows); a term's last step sets its value. In
         preorder every step's source lies on the path to the previous step,
         so only that path's U rows, one per step on it, outlive a block.
+
+        Blocks run in chunks of whole blocks, about _BLOCK_CELLS // 64
+        steps or one block; each chunk's zs, source, lane_at, new_at and
+        fill_at are read as Python lists, so the per-step loop indexes
+        Python ints while the kept schedule stays in arrays.
         """
-        n, bounds, lane_at, fill_at = len(self.o), self.bounds, self.lane_at, self.fill_at
-        hit_at, new, new_at = self.hit_at, self.new, self.new_at
+        n, bounds, hit_at, new = len(self.o), self.bounds, self.hit_at, self.new
         path = [(self.root, self.u_root)]  # (term, U) from the root to the last step
         u_buf = np.empty((self.per_block, n), dtype=np.intp)
         logs_buf = np.empty((self.per_block, n))
         one = np.uint8(1)  # a uint8 scalar keeps np.subtract.at on its fast path
-        window = blocks.start
+        window = chunk_end = blocks.start
         for b in blocks:
-            b0, b1 = bounds[b], bounds[b + 1]
+            if b == chunk_end:
+                # a chunk of whole blocks, about _BLOCK_CELLS // 64 steps or
+                # one block, whose per-step schedule is read as Python ints
+                c0, s0 = b, int(bounds[b])
+                chunk_end = int(np.searchsorted(bounds, s0 + _BLOCK_CELLS // 64, "right")) - 1
+                chunk_end = min(max(b + 1, chunk_end), blocks.stop)
+                s1 = int(bounds[chunk_end])
+                at = (bounds[b:chunk_end + 1] - s0).tolist()
+                source, terms = self.source[s0:s1].tolist(), self.zs[s0:s1].tolist()
+                lane_at, new_at, fill_at = (a[s0:s1 + 1].tolist()
+                                            for a in (self.lane_at, self.new_at, self.fill_at))
+            b0, b1 = at[b - c0], at[b - c0 + 1]  # the block's steps, counted from s0
             lo, j0, j1 = lane_at[b0], fill_at[b0], fill_at[b1]
             if b == window:
-                window = min(self.window[b], blocks.stop)
-                e0, e1 = self.fill_entries[j0], self.fill_entries[fill_at[bounds[window]]]
+                window = min(int(self.window[b]), blocks.stop)
+                e0, e1 = self.fill_entries[j0], self.fill_entries[self.fill_at[bounds[window]]]
                 sizes = self.sizes[e0:e1]
                 pos = _runs(self.desc_ptr.take(self.narrow[e0:e1]), sizes, len(self.desc_idx))[0]
                 hits = np.repeat(self.narrow_offset[e0:e1], sizes)
@@ -406,12 +429,12 @@ class _Sweep:
                 np.subtract.at(block.reshape(-1), hits[hit_at[j0] - base:hit_at[j1] - base], one)
             u = u_buf[:b1 - b0]
             for i, u_z in enumerate(u, start=b0):
-                while path[-1][0] != self.source[i]:
+                while path[-1][0] != source[i]:
                     path.pop()
                 src, start, stop = path[-1][1], lane_at[i] - lo, lane_at[i + 1] - lo
                 if start == stop:
                     np.subtract(src, 1, out=u_z)
-                    u_z[self.terms[i]] = 0
+                    u_z[terms[i]] = 0
                     continue  # a leaf: no term's tree parent
                 if stop - start == 1:
                     np.subtract(src, block[start, :n], out=u_z)
@@ -419,7 +442,7 @@ class _Sweep:
                     np.subtract(src, np.add.reduce(block[start:stop], axis=0, dtype=np.uint8)[:n],
                                 out=u_z)
                 u_z[new[new_at[i]:new_at[i + 1]]] = 0
-                path.append((self.terms[i], u_z))
+                path.append((terms[i], u_z))
             if len(u_buf) == 1 and path[-1][1].base is u_buf:
                 u_buf = np.empty_like(u_buf)  # the path keeps the old one
             else:
@@ -427,7 +450,7 @@ class _Sweep:
             # a step before its term's last fills the lanes of its block, so
             # no term has two steps in one block, and the block of its last
             # step, written later, sets out[z]
-            zs = self.zs[b0:b1]
+            zs = self.zs[s0 + b0:s0 + b1]
             self.out[zs] = _entropy_rows(self.o, zs, u, self.tab, logs_buf[:b1 - b0])
 
 

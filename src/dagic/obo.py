@@ -13,8 +13,12 @@ from .errors import DuplicateTermId, EmptyAfterFilter, MalformedStanza, open_inp
 log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(slots=True)
 class OboTerm:
+    """One [Term] stanza. Slotted, so a record holds no per-instance
+    dict; parse_obo gives equal ids, targets and namespaces one shared
+    str object."""
+
     id: str
     name: str = ""
     namespace: str = ""
@@ -62,9 +66,17 @@ def _block_end(value, brace):
 
 
 def parse_obo(stream):
-    """Parse [Term] stanzas from an OBO 1.2 text stream into OboTerm records."""
+    """Parse [Term] stanzas from an OBO 1.2 text stream into OboTerm records.
+
+    Each distinct text read as a term id, an is_a or relationship target,
+    or a namespace is kept as one str object, which every record naming
+    it shares: a parent's id is the very object its children's is_a
+    lists hold, so to_graph's ids and edges and the built Ontology hold
+    one string per term.
+    """
     terms = []
     seen = {}
+    shared = {}  # text -> its one str object
     in_term = False
     current = None
     current_line = 0
@@ -103,21 +115,22 @@ def parse_obo(stream):
             value = _strip_comment(value)
             if not value:
                 raise MalformedStanza(lineno, "empty id")
-            current.id = value
+            current.id = shared.setdefault(value, value)
         elif tag == "name":
             current.name = value
         elif tag == "namespace":
-            current.namespace = _strip_comment(value)
+            value = _strip_comment(value)
+            current.namespace = shared.setdefault(value, value)
         elif tag == "is_a":
             target = _strip_modifiers(value)
             if not target:
                 raise MalformedStanza(lineno, "is_a with no target")
-            current.is_a.append(target)
+            current.is_a.append(shared.setdefault(target, target))
         elif tag == "relationship":
             parts = _strip_modifiers(value).split()
             if len(parts) != 2:
                 raise MalformedStanza(lineno, f"relationship needs 'type target': {value!r}")
-            current.relationships.append((parts[0], parts[1]))
+            current.relationships.append((parts[0], shared.setdefault(parts[1], parts[1])))
         elif tag == "is_obsolete":
             current.obsolete = _strip_comment(value).lower() == "true"
         # all other tags ignored

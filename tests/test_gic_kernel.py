@@ -283,6 +283,32 @@ def test_new_ancestors_fill_a_step_exactly_or_by_one_more(extra):
     assert_small_blocks_match(o, lanes=(metrics._LANE_MAX,))
 
 
+def test_walk_across_schedule_chunks():
+    """walk reads the per-step schedule a chunk of whole blocks at a time,
+    about _BLOCK_CELLS // 64 steps; shrunk here to a few blocks per chunk,
+    or one, on a 150-term DAG, the walk crosses many chunk bounds and
+    still matches the one-term reference exactly, under every wide rule,
+    with terms cut into steps of one or two lanes, and at 1 to 3 workers."""
+    rng = np.random.default_rng(7)
+    spec = (150, [set(rng.choice(i, size=min(i, 3), replace=False).tolist())
+                  for i in range(1, 150)])
+    o = build(spec)
+    expected = np.array([conditional_entropy_given(o, t) for t in o.ids])
+    for cells, lane_max in itertools.product((64, 64 * 7, 4 * len(o)), (255, 2, 1)):
+        chunk = cells // 64
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_BLOCK_CELLS", cells)
+            mp.setattr(metrics, "_LANE_MAX", lane_max)
+            b = metrics._Sweep(o).bounds
+            assert b[-1] > 3 * chunk
+            if chunk > 1:  # some chunk holds two blocks or more
+                assert (b[2:] - b[:-2] <= chunk).any()
+            for workers in (1, 2, 3):
+                for rule, got in enumerate(under_each_wide_rule(
+                        lambda: conditional_entropies_all(o, workers=workers))):
+                    assert np.array_equal(got, expected), (cells, lane_max, workers, rule)
+
+
 def test_more_steps_than_uint16_holds():
     """256 terms under both ends of two 255-term chains, walked one lane
     per step, make more steps than a uint16 counts, while the ancestor
@@ -375,8 +401,8 @@ def test_schedule_steps_follow_the_preorder(spec):
             steps = max(1, -(-lanes // lane_max))
             want_zs += [z] * steps
             want_source += [tp[z]] + [z] * (steps - 1)
-        assert sweep.zs.tolist() == sweep.terms == want_zs
-        assert sweep.source == want_source
+        assert sweep.zs.tolist() == want_zs
+        assert sweep.source.tolist() == want_source
 
 
 @common
@@ -394,8 +420,9 @@ def test_schedule_lanes_sum_to_the_new_ancestors_rows(spec):
     desc, _, new, _ = set_schedule(o)
     for sweep, _, lane_max in schedules(o):
         b, k = sweep.bounds, 0
-        for i, z in enumerate(sweep.terms):
-            k = k + 1 if i and sweep.terms[i - 1] == z else 0
+        terms = sweep.zs.tolist()
+        for i, z in enumerate(terms):
+            k = k + 1 if i and terms[i - 1] == z else 0
             if sweep.lane_at[i] == sweep.lane_at[i + 1]:
                 assert new[z] == [z] and desc[z] == {z}
                 continue
@@ -425,7 +452,7 @@ def test_schedule_blocks_stay_within_their_bounds(spec):
     o = build(spec)
     for sweep, per_block, lane_max in schedules(o):
         b = sweep.bounds
-        assert b[0] == 0 and b[-1] == len(sweep.terms)
+        assert b[0] == 0 and b[-1] == len(sweep.zs)
         for b0, b1 in zip(b, b[1:]):
             assert 1 <= b1 - b0 <= per_block
             assert sweep.lane_at[b1] - sweep.lane_at[b0] <= lane_max
@@ -455,14 +482,14 @@ def test_shares_are_contiguous_runs_of_whole_subtrees(workers):
         mp.setattr(metrics, "_BLOCK_CELLS", 3 * len(o))
         sweep = metrics._Sweep(o)
     b, root = sweep.bounds, o.root_index
-    tops = [i for i in range(len(sweep.terms)) if sweep.source[i] == root]
-    sizes = np.diff(tops + [len(sweep.terms)])
+    tops = [i for i in range(len(sweep.zs)) if sweep.source[i] == root]
+    sizes = np.diff(tops + [len(sweep.zs)])
     shares = sweep.shares(workers)
     assert 1 <= len(shares) <= min(workers, len(tops))
     assert [s.start for s in shares[1:]] == [s.stop for s in shares[:-1]]
     assert shares[0].start == 0 and shares[-1].stop == len(b) - 1
     for s in shares:
         assert sweep.source[b[s.start]] == root
-        assert b[s.stop] - b[s.start] <= len(sweep.terms) / workers + sizes.max()
+        assert b[s.stop] - b[s.start] <= len(sweep.zs) / workers + sizes.max()
     expected = np.array([conditional_entropy_given(o, t) for t in o.ids])
     assert np.array_equal(conditional_entropies_all(o, workers=workers), expected)

@@ -54,6 +54,24 @@ def test_full_parse():
     assert terms[2].obsolete is True
 
 
+def test_equal_ids_targets_and_namespaces_are_one_object():
+    """A target is the very str of the id it names, whatever comment or
+    qualifier block followed it, equal namespaces are one object, and
+    to_graph's ids and edges hold those objects; records have no
+    per-instance dict."""
+    text = MINI + '[Term]\nid: X:4\nnamespace: test\nis_a: X:2 {source="x"} ! child\n'
+    terms = parse_obo(io.StringIO(text))
+    by_id = {t.id: t for t in terms}
+    assert by_id["X:2"].is_a[0] is by_id["X:1"].id
+    assert by_id["X:2"].relationships[0][1] is by_id["X:1"].id
+    assert by_id["X:4"].is_a[0] is by_id["X:2"].id
+    assert by_id["X:4"].namespace is by_id["X:2"].namespace
+    assert not hasattr(by_id["X:1"], "__dict__")
+    ids, edges, _ = to_graph(terms)
+    assert all(t is by_id[t].id for t in ids)
+    assert all(c is by_id[c].id and p is by_id[p].id for c, p in edges)
+
+
 def test_duplicate_id():
     with pytest.raises(DuplicateTermId) as err:
         parse_obo(io.StringIO("[Term]\nid: X:1\n\n[Term]\nid: X:1\n"))
