@@ -10,9 +10,8 @@ GO's size included) and int32 above: on a dense DAG the lists outgrow
 the packed rows they replace, and the narrow type halves them.
 anc_counts are the list lengths, and desc_counts count each term's
 appearances in the lists, less its own. The edges are held once, as
-the sorted (child, parent) rows of an (m, 2) intp array, with CSR
-offsets into it for each term's parents and, through one array of
-children ordered by parent, for each term's children.
+the sorted (child, parent) rows of an (m, 2) intp array, with no
+offsets into them: parents() and children() select their rows.
 
 Code outside this module asks Ontology for what it needs from the
 closure: ancestor_union(indices), the sorted union of the terms'
@@ -85,21 +84,16 @@ class Ontology:
 
     Construction happens in build_ontology; instances are immutable and
     safe to share across threads. Dense indices are assigned in
-    lexicographic id order so every emitted table is deterministic.
+    lexicographic id order so every emitted table is deterministic. The
+    edges are held once, as sorted (child, parent) rows with no CSR
+    offsets; parents() and children() select the rows that name the term.
     """
 
-    def __init__(self, ids, index, edges, root_index, parent_ptr, child_idx, child_ptr,
-                 anc_ptr, anc_idx, depth):
+    def __init__(self, ids, index, edges, root_index, anc_ptr, anc_idx, depth):
         self.ids = ids                      # tuple[str], lexicographic
         self._index = index                 # {id: position in ids}
         self.edges = edges                  # (m, 2) intp rows (child, parent), sorted
         self.root_index = root_index
-        # CSR over the edges: term i's parents are edges[parent_ptr[i]:
-        # parent_ptr[i + 1], 1], and its children child_idx[child_ptr[i]:
-        # child_ptr[i + 1]], both ascending
-        self._parent_ptr = parent_ptr
-        self._child_idx = child_idx
-        self._child_ptr = child_ptr
         self.anc_ptr = anc_ptr              # (n + 1,) int64 offsets into anc_idx
         self.anc_idx = anc_idx              # each term's ancestors ascending
         self.anc_counts = np.diff(anc_ptr)
@@ -107,9 +101,8 @@ class Ontology:
         self.desc_counts = np.full(len(ids), -1, dtype=np.int64)
         np.add.at(self.desc_counts, anc_idx, 1)
         self.depth = depth                  # (n,) int64, min edge distance
-        for arr in (self.edges, self._parent_ptr, self._child_idx, self._child_ptr,
-                    self.anc_ptr, self.anc_idx, self.anc_counts, self.desc_counts,
-                    self.depth):
+        for arr in (self.edges, self.anc_ptr, self.anc_idx, self.anc_counts,
+                    self.desc_counts, self.depth):
             arr.setflags(write=False)
         # element access from Python without numpy scalars, for under()
         self._ptr_view = memoryview(anc_ptr)
@@ -140,13 +133,11 @@ class Ontology:
 
     def parents(self, term_id):
         i = self.index(term_id)
-        run = self.edges[self._parent_ptr[i]:self._parent_ptr[i + 1], 1]
-        return frozenset(self.ids[p] for p in run.tolist())
+        return frozenset(self.ids[p] for p in self.edges[self.edges[:, 0] == i, 1].tolist())
 
     def children(self, term_id):
         i = self.index(term_id)
-        run = self._child_idx[self._child_ptr[i]:self._child_ptr[i + 1]]
-        return frozenset(self.ids[c] for c in run.tolist())
+        return frozenset(self.ids[c] for c in self.edges[self.edges[:, 1] == i, 0].tolist())
 
     def ancestors(self, term_id):
         """Reflexive ancestor set (includes the term itself and the root)."""
@@ -287,9 +278,6 @@ def build_ontology(terms, edges):
         index=index,
         edges=edge_idx,
         root_index=root,
-        parent_ptr=parent_ptr,
-        child_idx=child_idx,
-        child_ptr=child_ptr,
         anc_ptr=anc_ptr,
         anc_idx=anc_idx,
         depth=depth,

@@ -133,7 +133,8 @@ def _entropy_rows(o, zs, u, tab, logs=None):
 
 # a block of the walk holds at most _BLOCK_CELLS // n terms (at least
 # one), so its n-wide U and log2 rows stay a few hundred KiB; a window of
-# blocks lays out at most _BLOCK_CELLS scatter entries at once
+# blocks lays out at most _BLOCK_CELLS scatter entries at once and holds
+# at most _BLOCK_CELLS // 64 steps
 _BLOCK_CELLS = 2**15
 # new ancestors per step and per block, and lanes per uint8 reduce: a
 # byte lane holds at most 255 (a uint8 reduce runs about twice as fast as
@@ -254,17 +255,25 @@ class _Sweep:
     number and loses one for each of them over x: a fill, then a scatter
     of their descendant lists. Narrow lane j is lane fill_lane[j] of its
     block, with fill[j] narrow new ancestors narrow[fill_entries[j]:
-    fill_entries[j + 1]]; entry e's scatter starts at narrow_offset[e],
-    its lane times the unpacked row's width. A leaf whose only new
-    ancestor is itself has no lane and no new list: it takes U_p - 1,
-    which is off only at its own entry, and masks that entry (no term
-    inherits from it).
+    fill_entries[j + 1]], whose scatters start at fill_lane[j] * width,
+    the lane's first byte in its block's unpacked rows. A leaf whose
+    only new ancestor is itself has no lane and no new list: it takes
+    U_p - 1, which is off only at its own entry, and masks that entry
+    (no term inherits from it).
+
+    The blocks are grouped once, into windows of whole blocks: window[b]
+    ends the one that starts at block b, which holds at most _BLOCK_CELLS
+    scatter entries and at most _BLOCK_CELLS // 64 steps, or block b
+    alone.
 
     The schedule is kept as the numpy arrays it is computed as, none as
     a Python list: per step zs (the term) and source, and lane_at, new_at
     and fill_at with one more entry for the end; per block window, and
-    bounds with the end; per narrow lane hit_at, and fill_entries with
-    the end. walk() reads the per-step ones as lists a chunk at a time.
+    bounds with the end; per new ancestor new; per lane lane_rows; per
+    narrow lane fill_lane and fill, and fill_entries with the end; and
+    per narrow new ancestor narrow. walk() reads the per-step ones as
+    lists a window at a time, and derives the window's scatter entries
+    and their offsets there.
     """
 
     def __init__(self, o):
@@ -338,28 +347,20 @@ class _Sweep:
         # lanes are numbered from their block's first
         first = np.repeat(lane_at[new_at[self.bounds[:-1]]], np.diff(self.bounds))
         self.fill_lane = lane_at.take(narrow.compress(starts)) - first.take(step.compress(starts))
-        # each narrow new ancestor's lane * width, where its scatter entries start
-        offset = self.fill_lane.take(np.cumsum(starts) - 1) * self.width
-        fits = offset.max(initial=0) + self.width < 2**31
-        self.narrow_offset = offset.astype(np.int32 if fits else np.int64)
         starts = np.flatnonzero(starts)
         self.fill = np.diff(starts, append=len(narrow)).astype(np.uint8)
-        fill_at = np.searchsorted(step.take(starts), np.arange(len(zs) + 1))
-        # the scatter entries, lane * width + x for each descendant x of a
-        # narrow new ancestor: each narrow lane's first, and each block's
-        self.narrow = new.take(narrow)
-        # a narrow term has at most n / 64 descendants
-        self.sizes = np.diff(self.desc_ptr).take(self.narrow).astype(np.int32)
-        scattered = np.zeros(len(narrow) + 1, dtype=np.int64)
-        np.cumsum(self.sizes, out=scattered[1:])
+        self.fill_at = np.searchsorted(step.take(starts), np.arange(len(zs) + 1))
         self.fill_entries = np.append(starts, len(narrow))
-        block_hits = scattered.take(self.fill_entries.take(fill_at.take(self.bounds)))
-        # walk lays out the scatter entries of a window of whole blocks at
-        # once, from block b to window[b]: at most _BLOCK_CELLS, or block b's
-        window = np.searchsorted(block_hits, block_hits[:-1] + _BLOCK_CELLS, "right") - 1
-        self.window = np.maximum(window, np.arange(1, len(block_hits)))
-        self.hit_at = scattered.take(self.fill_entries)
-        self.fill_at = fill_at
+        self.narrow = new.take(narrow)
+        # each block's first scatter entry (lane * width + x for each
+        # descendant x of a narrow new ancestor), then the windows
+        scattered = np.zeros(len(narrow) + 1, dtype=np.int64)
+        np.cumsum(np.diff(self.desc_ptr).take(self.narrow), out=scattered[1:])
+        b = self.bounds
+        hits = scattered.take(self.fill_entries.take(self.fill_at.take(b)))
+        window = np.minimum(np.searchsorted(hits, hits[:-1] + _BLOCK_CELLS, "right"),
+                            np.searchsorted(b, b[:-1] + _BLOCK_CELLS // 64, "right")) - 1
+        self.window = np.maximum(window, np.arange(1, len(b)))
         self.lane_at = lane_at.take(new_at)
         self.new_at = new_at
 
@@ -381,52 +382,55 @@ class _Sweep:
         of the root, setting out[z] for each of their terms.
 
         A block unpacks all its lanes at once, fills its narrow lanes and
-        scatters their descendant lists, laid out a window of whole blocks
-        at a time (at most _BLOCK_CELLS entries, or one block). Each step
-        subtracts its lanes from its source's U: one lane alone, or a uint8
-        reduce of several, which cannot wrap, and then masks its new
-        ancestors. The block's entropies come from one table lookup and one
-        row sum (_entropy_rows); a term's last step sets its value. In
-        preorder every step's source lies on the path to the previous step,
-        so only that path's U rows, one per step on it, outlive a block.
+        scatters their descendant lists. Each step subtracts its lanes from
+        its source's U: one lane alone, or a uint8 reduce of several, which
+        cannot wrap, and then masks its new ancestors. The block's
+        entropies come from one table lookup and one row sum
+        (_entropy_rows); a term's last step sets its value. In preorder
+        every step's source lies on the path to the previous step, so only
+        that path's U rows, one per step on it, outlive a block.
 
-        Blocks run in chunks of whole blocks, about _BLOCK_CELLS // 64
-        steps or one block; each chunk's zs, source, lane_at, new_at and
-        fill_at are read as Python lists, so the per-step loop indexes
-        Python ints while the kept schedule stays in arrays.
+        Blocks run a window at a time (window), with one refresh per
+        window: its zs, source, lane_at, new_at and fill_at are read as
+        Python lists, so the per-step loop indexes Python ints while the
+        kept schedule stays in arrays, and its scatter entries are laid
+        out. Each entry's size comes from desc_ptr, its lane's offset is
+        fill_lane * width, and one cumulative sum of the sizes gives each
+        narrow lane's first entry in the layout.
         """
-        n, bounds, hit_at, new = len(self.o), self.bounds, self.hit_at, self.new
+        n, bounds, new = len(self.o), self.bounds, self.new
         path = [(self.root, self.u_root)]  # (term, U) from the root to the last step
         u_buf = np.empty((self.per_block, n), dtype=np.intp)
         logs_buf = np.empty((self.per_block, n))
         one = np.uint8(1)  # a uint8 scalar keeps np.subtract.at on its fast path
-        window = chunk_end = blocks.start
+        window = blocks.start
         for b in blocks:
-            if b == chunk_end:
-                # a chunk of whole blocks, about _BLOCK_CELLS // 64 steps or
-                # one block, whose per-step schedule is read as Python ints
-                c0, s0 = b, int(bounds[b])
-                chunk_end = int(np.searchsorted(bounds, s0 + _BLOCK_CELLS // 64, "right")) - 1
-                chunk_end = min(max(b + 1, chunk_end), blocks.stop)
-                s1 = int(bounds[chunk_end])
-                at = (bounds[b:chunk_end + 1] - s0).tolist()
+            if b == window:
+                # the window's per-step schedule as Python ints, counted
+                # from step s0, and its scatter entries, narrow lane j's
+                # from hit_at[j - f0]
+                c0, window = b, min(int(self.window[b]), blocks.stop)
+                s0, s1 = int(bounds[b]), int(bounds[window])
+                at = (bounds[b:window + 1] - s0).tolist()
                 source, terms = self.source[s0:s1].tolist(), self.zs[s0:s1].tolist()
                 lane_at, new_at, fill_at = (a[s0:s1 + 1].tolist()
                                             for a in (self.lane_at, self.new_at, self.fill_at))
+                f0, f1 = fill_at[0], fill_at[-1]
+                e0, e1 = self.fill_entries[f0], self.fill_entries[f1]
+                narrow = self.narrow[e0:e1]
+                ptr = self.desc_ptr.take(narrow)
+                sizes = self.desc_ptr.take(narrow + 1) - ptr
+                pos, scattered = _runs(ptr, sizes, len(self.desc_idx))
+                hits = np.repeat(np.repeat(self.fill_lane[f0:f1] * self.width, self.fill[f0:f1]),
+                                 sizes)
+                hits += self.desc_idx.take(pos)
+                hit_at = scattered.take(self.fill_entries[f0:f1 + 1] - e0).tolist()
             b0, b1 = at[b - c0], at[b - c0 + 1]  # the block's steps, counted from s0
             lo, j0, j1 = lane_at[b0], fill_at[b0], fill_at[b1]
-            if b == window:
-                window = min(int(self.window[b]), blocks.stop)
-                e0, e1 = self.fill_entries[j0], self.fill_entries[self.fill_at[bounds[window]]]
-                sizes = self.sizes[e0:e1]
-                pos = _runs(self.desc_ptr.take(self.narrow[e0:e1]), sizes, len(self.desc_idx))[0]
-                hits = np.repeat(self.narrow_offset[e0:e1], sizes)
-                hits += self.desc_idx.take(pos)
-                base = hit_at[j0]
             block = np.unpackbits(self.comp[self.lane_rows[lo:lane_at[b1]]], 1, bitorder="little")
             if j1 > j0:
                 block[self.fill_lane[j0:j1]] = self.fill[j0:j1, None]
-                np.subtract.at(block.reshape(-1), hits[hit_at[j0] - base:hit_at[j1] - base], one)
+                np.subtract.at(block.reshape(-1), hits[hit_at[j0 - f0]:hit_at[j1 - f0]], one)
             u = u_buf[:b1 - b0]
             for i, u_z in enumerate(u, start=b0):
                 while path[-1][0] != source[i]:

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 from collections import deque
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dagic import build_ontology, dag, ontology_entropy, sic
+from dagic import build_ontology, dag, ontology_entropy, parse_obo, sic, to_graph
 from dagic.errors import (
     CycleDetected,
     MultipleRoots,
@@ -15,7 +16,7 @@ from dagic.errors import (
     UnknownTermInEdge,
 )
 
-from conftest import chain, random_dag
+from conftest import DATA_DIR, chain, random_dag
 from test_gic_kernel import build, dags
 
 
@@ -176,6 +177,24 @@ def test_depth_properties(rng):
                 assert o.min_depth(t) >= 1
         for c, p in o.edges:
             assert o.depth[c] <= o.depth[p] + 1
+
+
+@pytest.mark.parametrize("relations", [frozenset(), frozenset({"part_of"})])
+@pytest.mark.parametrize("namespace", ["biological_process", "cellular_component",
+                                       "molecular_function"])
+def test_edge_queries_match_the_graph(namespace, relations):
+    """parents(), children() and term() give back, for every term of the
+    GO subset, the edges and ids that to_graph read from the file."""
+    with open(os.path.join(DATA_DIR, "go_subset.obo"), encoding="utf-8") as fh:
+        ids, edges, _ = to_graph(parse_obo(fh), namespace=namespace, relations=relations)
+    o = build_ontology(ids, edges)
+    assert sorted(o.term(i) for i in range(len(o))) == sorted(ids)
+    assert len(o.edges) == len(set(edges)) > 0
+    for t in ids:
+        assert o.term(o.index(t)) == t
+        assert o.parents(t) == {p for c, p in edges if c == t}
+        assert o.children(t) == {c for c, p in edges if p == t}
+    assert o.parents(o.root) == frozenset()
 
 
 def bfs_depth(o):

@@ -283,26 +283,34 @@ def test_new_ancestors_fill_a_step_exactly_or_by_one_more(extra):
     assert_small_blocks_match(o, lanes=(metrics._LANE_MAX,))
 
 
-def test_walk_across_schedule_chunks():
-    """walk reads the per-step schedule a chunk of whole blocks at a time,
-    about _BLOCK_CELLS // 64 steps; shrunk here to a few blocks per chunk,
-    or one, on a 150-term DAG, the walk crosses many chunk bounds and
-    still matches the one-term reference exactly, under every wide rule,
-    with terms cut into steps of one or two lanes, and at 1 to 3 workers."""
+def test_walk_across_schedule_windows():
+    """walk reads the per-step schedule and lays out the scatter entries a
+    window of whole blocks at a time: at most _BLOCK_CELLS // 64 steps and
+    _BLOCK_CELLS entries, or one block. Shrunk here to a few blocks per
+    window, or one, on a 150-term DAG, the walk crosses many window bounds
+    and still matches the one-term reference exactly, under every wide
+    rule, with terms cut into steps of one or two lanes, and at 1 to 3
+    workers."""
     rng = np.random.default_rng(7)
     spec = (150, [set(rng.choice(i, size=min(i, 3), replace=False).tolist())
                   for i in range(1, 150)])
     o = build(spec)
     expected = np.array([conditional_entropy_given(o, t) for t in o.ids])
     for cells, lane_max in itertools.product((64, 64 * 7, 4 * len(o)), (255, 2, 1)):
-        chunk = cells // 64
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "_BLOCK_CELLS", cells)
             mp.setattr(metrics, "_LANE_MAX", lane_max)
-            b = metrics._Sweep(o).bounds
-            assert b[-1] > 3 * chunk
-            if chunk > 1:  # some chunk holds two blocks or more
-                assert (b[2:] - b[:-2] <= chunk).any()
+            sweep = metrics._Sweep(o)
+            b, ends = sweep.bounds, [0]
+            while ends[-1] < len(b) - 1:
+                ends.append(int(sweep.window[ends[-1]]))
+            for w0, w1 in zip(ends, ends[1:]):
+                e0, e1 = sweep.fill_entries[sweep.fill_at[[b[w0], b[w1]]]]
+                sizes = np.diff(sweep.desc_ptr)[sweep.narrow[e0:e1]]
+                assert w1 == w0 + 1 or (b[w1] - b[w0] <= cells // 64 and sizes.sum() <= cells)
+            assert len(ends) - 1 > 3
+            if cells > 64:  # some window holds two blocks or more
+                assert (np.diff(ends) >= 2).any()
             for workers in (1, 2, 3):
                 for rule, got in enumerate(under_each_wide_rule(
                         lambda: conditional_entropies_all(o, workers=workers))):
@@ -435,7 +443,7 @@ def test_schedule_lanes_sum_to_the_new_ancestors_rows(spec):
                 for e in range(sweep.fill_entries[j], sweep.fill_entries[j + 1]):
                     a = sweep.narrow[e]
                     below = sweep.desc_idx[sweep.desc_ptr[a]:sweep.desc_ptr[a + 1]]
-                    np.subtract.at(rows.reshape(-1), sweep.narrow_offset[e] + below, 1)
+                    np.subtract.at(rows.reshape(-1), sweep.fill_lane[j] * sweep.width + below, 1)
             got = rows[sweep.lane_at[i] - lo:sweep.lane_at[i + 1] - lo, :n].sum(axis=0)
             step_new = new[z][k * lane_max:(k + 1) * lane_max]
             want = [sum(x not in desc[a] for a in step_new) for x in range(n)]
