@@ -64,13 +64,29 @@ class LineError(DagicError):
 @contextmanager
 def open_input(path):
     """The text file at path, read as strict UTF-8 (invalid bytes are an
-    error, never silently replaced); a LineError raised inside names it."""
+    error, never silently replaced); a LineError raised inside names it,
+    and so does the MalformedLine that invalid UTF-8 raises."""
     with open(path, encoding="utf-8", errors="strict") as fh:
         try:
             yield fh
         except LineError as exc:
             exc.path = path
             raise
+        except UnicodeDecodeError:
+            exc = MalformedLine(_first_invalid_line(path), "invalid UTF-8")
+            exc.path = path
+            raise exc from None
+
+
+def _first_invalid_line(path):
+    """The number of the first line of the file at path that is not valid
+    UTF-8, with lines counted as a text-mode read counts them."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_number, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return line_number
 
 
 class MalformedStanza(LineError):

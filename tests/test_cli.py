@@ -283,11 +283,21 @@ def test_env_override(diamond_obo):
     assert "0.500000" in result.stdout
 
 
-def test_invalid_utf8_is_error(tmp_path):
-    path = tmp_path / "bad.obo"
-    path.write_bytes(b"[Term]\nid: X:\xff1\n")
-    result = run_cli("entropy", "--obo", str(path))
-    assert result.returncode == 1
+def test_invalid_utf8_is_error(tmp_path, monkeypatch):
+    """Bytes that are not UTF-8 are bad input: exit 2 and one error line
+    naming the file and the first line that does not decode, for an OBO
+    file and for a corpus with CRLF line ends."""
+    (tmp_path / "x.obo").write_text(DIAMOND_OBO)
+    monkeypatch.chdir(tmp_path)
+    for argv, bad, body, error in [
+        (["entropy", "--obo", "bad.obo"], "bad.obo", b"[Term]\nid: X:\xff1\n",
+         "bad.obo:2: invalid UTF-8"),
+        (["ic", "--obo", "x.obo", "--metric", "ric", "--corpus", "c.tsv"], "c.tsv",
+         b"g1\tX:3\r\ng2\tX:3\r\ng\xc3\tX:3\r\n", "c.tsv:3: invalid UTF-8"),
+    ]:
+        (tmp_path / bad).write_bytes(body)
+        code, out, err = run_in_process(argv, monkeypatch)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 @pytest.mark.parametrize("argv, bad, body, error", [
