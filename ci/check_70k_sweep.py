@@ -1,17 +1,18 @@
 """The all-terms gIC sweep on a 70,000-term layered DAG, above the
-65,536 terms where the ancestor lists switch from uint16 to int32, must
-equal the one-term reference at the root and at 10 sampled terms.
+65,536 terms where the ancestor lists switch from uint16 to int32 and
+the 32,768 where the walk's rows switch from int16 to int32, must equal
+the one-term reference at the root and at 10 sampled terms.
 
 Run from the repository root:
 
     PYTHONPATH=src python ci/check_70k_sweep.py
 
 Prints the build and sweep times and the peak resident size; exits
-non-zero if a value differs or the lists are not int32.
+non-zero if a value differs or the lists or rows are not int32.
 """
 import resource, time
 import numpy as np
-from dagic import build_ontology, conditional_entropy_given
+from dagic import build_ontology, conditional_entropy_given, metrics
 from dagic.metrics import conditional_entropies_all
 start = time.perf_counter()
 rng = np.random.default_rng(70)
@@ -30,6 +31,7 @@ for above, size in zip(sizes, sizes[1:]):
     first = below
 o = build_ontology(ids, edges)
 assert len(o) == 70000 and o.anc_idx.dtype == np.int32, (len(o), o.anc_idx.dtype)
+assert len(o) >= metrics._NARROW_ROWS, metrics._NARROW_ROWS  # int32 rows
 built = time.perf_counter()
 cond = conditional_entropies_all(o)
 swept = time.perf_counter()

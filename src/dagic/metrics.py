@@ -89,46 +89,39 @@ def conditional_entropy_given(o, z):
     in_anc[anc] = 1
     # |anc(x) & anc(z)| for every x, summed over x's ancestor list
     shared = np.add.reduceat(in_anc[o.anc_idx], o.anc_ptr[:-1], dtype=np.intp)
-    # |Y_xz| for x outside anc(z), 0 for its ancestors; see _entropy_rows
+    # |Y_xz| for x outside anc(z), 0 for its ancestors; see _log2_table
     u = _second_term_counts(o) + shared - o.anc_counts[zi]
     u[anc] = 0
-    return float(_entropy_rows(o, [zi], u[None, :], _log2_table(n))[0])
+    sums = _log2_sums(_log2_table(n), u[None, :])
+    return float(_joint_bits(n + 1 - o.anc_counts[zi], sums)[0])
 
 
 def _log2_table(n):
     """log2 k at index k for every size 1 <= k <= n that |Y_xz| can take,
-    and 0 at index 0: the rows of _entropy_rows arrive as these indices.
+    and 0 at index 0: a row u of table indices holds u[x] = |Y_xz| for x
+    outside anc(z) and at most 0 for x in anc(z).
 
-    For x outside anc(z), Y_xz holds the root and no more than Y_x, and
-    |Y_x| = n + 1 - |anc(x)| - |desc(x)| <= n. The terms of anc(z) leave
-    X_z, so a row masks such an x with any index <= 0, which a "clip"
-    take reads as index 0.
+    S_z[x] = |anc(x) & anc(z)|. For x outside anc(z), desc(x) and anc(z)
+    are disjoint (a descendant of x above z would put x above z), so
+    |Y_xz| = |Y_x| - |anc(z)| + S_z[x]; Y_xz holds the root and no more
+    than Y_x, and |Y_x| = n + 1 - |anc(x)| - |desc(x)| <= n. The terms of
+    anc(z) leave X_z; the root, which is re-admitted, has
+    Y_root,z = {root} and adds log2(1) = 0, so a row masks every
+    ancestor with any index <= 0, which a "clip" take reads as index 0.
     """
     tab = np.zeros(n + 1)
     tab[1:] = np.log2(np.arange(1, n + 1, dtype=np.float64))
     return tab
 
 
-def _entropy_rows(o, zs, u, tab, logs=None):
-    """H(X_z, Y_xz | z) for each z in zs from rows that arrive as table
-    indices, u[i] = |Y_xz| for x outside anc(z) and at most 0 for x in
-    anc(z).
-
-    u is an intp array; logs, if given, is float64 scratch of u's shape.
-
-    S_z[x] = |anc(x) & anc(z)|. For x outside anc(z), desc(x) and anc(z)
-    are disjoint (a descendant of x above z would put x above z), so
-    |Y_xz| = |Y_x| - |anc(z)| + S_z[x], looked up in tab. The terms of
-    anc(z) leave X_z; the root, which is re-admitted, has
-    Y_root,z = {root} and adds log2(1) = 0, so every ancestor's entry
-    reads 0 from the table (_log2_table). Each row is summed alone, in
-    the order of a 1-D sum, so a term's value does not depend on the rows
-    beside it.
-    """
+def _log2_sums(tab, u):
+    """sum of log2 |Y_xz| over x in X_z for each row of the 2-D array u
+    of table indices (_log2_table). Each row is summed alone, in the
+    order of a 1-D sum, so a term's sum does not depend on the rows
+    beside it or on the rows' integer type."""
     # a masked entry can be negative: "clip" reads it as index 0, and
     # mode="raise" would buffer the whole output
-    logs = tab.take(u, out=logs, mode="clip")
-    return _joint_bits(len(o) - o.anc_counts[zs] + 1, logs.sum(axis=1))
+    return tab.take(u, mode="clip").sum(axis=1)
 
 
 # a block of the walk holds at most _BLOCK_CELLS // n terms (at least
@@ -140,6 +133,9 @@ _BLOCK_CELLS = 2**15
 # byte lane holds at most 255 (a uint8 reduce runs about twice as fast as
 # a uint16 one)
 _LANE_MAX = 255
+# the walk's rows are int16 below this many terms and int32 from it on, as
+# dag._NARROW_TERMS bounds the uint16 lists; a row entry lies in [-n, n]
+_NARROW_ROWS = 2**15
 
 
 def _is_wide(sizes, n):
@@ -215,10 +211,11 @@ def _descendant_store(o, tp):
 
 class _Sweep:
     """The all-terms gIC walk of conditional_entropies_all, scheduled once
-    for every term but the root; walk() runs a share of its blocks.
+    for every term but the root; walk() runs a share of its blocks and
+    stores each of their terms' sum of log2 |Y_xz| in out.
 
     The walk carries each term's row as the table indices that
-    _entropy_rows reads, U_z[x] = |Y_xz| = |Y_x| + |anc(x) & anc(z)| -
+    _log2_sums reads, U_z[x] = |Y_xz| = |Y_x| + |anc(x) & anc(z)| -
     |anc(z)|, down a spanning tree of the DAG: each non-root z hangs under
     its parent p with the most ancestors, U_root = |Y_x|, and
     U_z = U_p - sum of 1[x not in desc*(a)] over a in new(z) =
@@ -246,7 +243,9 @@ class _Sweep:
     own entry in U_root and each step's new ancestors in that step's row.
     Every entry outside anc(z) is at least 1, and steps only subtract,
     so a masked entry stays at most 0 in every row below and reads 0 from
-    the table (_log2_table).
+    the table (_log2_table). No entry falls below -n, so the rows are
+    int16 while n < _NARROW_ROWS and int32 above, signed for the masked
+    entries; u_root is the root's row.
 
     Step i's lanes, lane_at[i] to lane_at[i + 1], are the byte rows it
     subtracts: the unpacked complemented row comp[lane_rows[l]] of each
@@ -280,9 +279,9 @@ class _Sweep:
         n, root, counts = len(o), o.root_index, o.anc_counts
         self.o, self.root, self.out = o, root, np.empty(n)
         self.tab = _log2_table(n)
-        self.u_root = _second_term_counts(o)
+        self.u_root = _second_term_counts(o).astype(np.int16 if n < _NARROW_ROWS else np.int32)
         self.u_root[root] = 0
-        self.per_block = max(1, _BLOCK_CELLS // n)
+        per_block = max(1, _BLOCK_CELLS // n)
         # tree parent: the parent with the most ancestors, lowest index on
         # ties, i.e. each child's first edge by (child, -count, parent); the
         # edges come sorted by (child, parent), and lexsort is stable
@@ -321,7 +320,7 @@ class _Sweep:
         self.source = np.where(k == 0, tp[zs], zs)
         bounds, start, used = [], 0, 0
         for i, (r, s) in enumerate(zip(lanes_of.tolist(), self.source.tolist())):
-            if s == root or i - start == self.per_block or used + r > _LANE_MAX:
+            if s == root or i - start == per_block or used + r > _LANE_MAX:
                 bounds.append(i)
                 start, used = i, 0
             used += r
@@ -379,16 +378,20 @@ class _Sweep:
 
     def walk(self, blocks):
         """Runs the blocks in the range `blocks`, which starts at a subtree
-        of the root, setting out[z] for each of their terms.
+        of the root, setting out[z], the sum of log2 |Y_xz|, for each of
+        their terms.
 
         A block unpacks all its lanes at once, fills its narrow lanes and
         scatters their descendant lists. Each step subtracts its lanes from
         its source's U: one lane alone, or a uint8 reduce of several, which
-        cannot wrap, and then masks its new ancestors. The block's
-        entropies come from one table lookup and one row sum
-        (_entropy_rows); a term's last step sets its value. In preorder
-        every step's source lies on the path to the previous step, so only
-        that path's U rows, one per step on it, outlive a block.
+        cannot wrap, and then masks its new ancestors. Each block writes
+        its rows into a fresh (steps, n) array. One table lookup and one
+        row sum (_log2_sums) give the block's sums of log2 |Y_xz|, and a
+        term's last step stores its sum in out[z];
+        conditional_entropies_all forms every H(.|z) from them once. In
+        preorder every step's source lies on the path to the previous step,
+        so the path keeps views of the rows on it, and a block's array
+        outlives the block only while the path holds one of its rows.
 
         Blocks run a window at a time (window), with one refresh per
         window: its zs, source, lane_at, new_at and fill_at are read as
@@ -400,8 +403,6 @@ class _Sweep:
         """
         n, bounds, new = len(self.o), self.bounds, self.new
         path = [(self.root, self.u_root)]  # (term, U) from the root to the last step
-        u_buf = np.empty((self.per_block, n), dtype=np.intp)
-        logs_buf = np.empty((self.per_block, n))
         one = np.uint8(1)  # a uint8 scalar keeps np.subtract.at on its fast path
         window = blocks.start
         for b in blocks:
@@ -431,7 +432,7 @@ class _Sweep:
             if j1 > j0:
                 block[self.fill_lane[j0:j1]] = self.fill[j0:j1, None]
                 np.subtract.at(block.reshape(-1), hits[hit_at[j0 - f0]:hit_at[j1 - f0]], one)
-            u = u_buf[:b1 - b0]
+            u = np.empty((b1 - b0, n), dtype=self.u_root.dtype)
             for i, u_z in enumerate(u, start=b0):
                 while path[-1][0] != source[i]:
                     path.pop()
@@ -447,27 +448,24 @@ class _Sweep:
                                 out=u_z)
                 u_z[new[new_at[i]:new_at[i + 1]]] = 0
                 path.append((terms[i], u_z))
-            if len(u_buf) == 1 and path[-1][1].base is u_buf:
-                u_buf = np.empty_like(u_buf)  # the path keeps the old one
-            else:
-                path = [(t, row.copy() if row.base is u_buf else row) for t, row in path]
             # a step before its term's last fills the lanes of its block, so
             # no term has two steps in one block, and the block of its last
             # step, written later, sets out[z]
-            zs = self.zs[s0 + b0:s0 + b1]
-            self.out[zs] = _entropy_rows(self.o, zs, u, self.tab, logs_buf[:b1 - b0])
+            self.out[self.zs[s0 + b0:s0 + b1]] = _log2_sums(self.tab, u)
 
 
 def conditional_entropies_all(o, workers=1):
     """H(X_z, Y_xz | z) for every z, deterministic across worker counts.
 
     One _Sweep schedules the walk for every term; its shares, runs of
-    whole subtrees of the root, run in at most `workers` threads. Every U
-    is an exact integer vector and each row is summed alone, so the
-    result does not depend on the worker count or the block bounds.
+    whole subtrees of the root, run in at most `workers` threads and store
+    each term's sum of log2 |Y_xz|, which one _joint_bits turns into
+    H(.|z) once every share is done. Every U is an exact integer vector
+    and each row is summed alone, so the result does not depend on the
+    worker count or the block bounds.
     """
     sweep, root = _Sweep(o), o.root_index
-    sweep.out[root] = _entropy_rows(o, [root], sweep.u_root[None, :], sweep.tab)[0]
+    sweep.out[root] = _log2_sums(sweep.tab, sweep.u_root[None, :])[0]
     shares = sweep.shares(workers)
     if len(shares) == 1:
         sweep.walk(shares[0])
@@ -478,7 +476,7 @@ def conditional_entropies_all(o, workers=1):
         with ThreadPoolExecutor(max_workers=len(shares)) as pool:
             for f in [pool.submit(sweep.walk, share) for share in shares]:
                 f.result()
-    return sweep.out
+    return _joint_bits(len(o) + 1 - o.anc_counts, sweep.out)
 
 
 def _table(metric, o, raw, undefined=frozenset()):

@@ -135,23 +135,28 @@ def test_rows_mask_each_terms_ancestors(spec):
     anc(z) and at most 0 for every x in anc(z), under every wide rule,
     with blocks of one step and with terms cut into steps of two lanes.
     The root's entry reads 0 from the table either way, so only the rows
-    show its mask."""
+    show its mask. The rows are read where they are summed (_log2_sums):
+    at one worker the root's row comes first, then one row per step in
+    the schedule's order."""
     o = build(spec)
     n = len(o)
     anc = [{o.index(a) for a in o.ancestors(t)} for t in o.ids]
     desc = [{x for x in range(n) if a in anc[x]} for a in range(n)]
-    real, rows = metrics._entropy_rows, {}
+    real, rows = metrics._log2_sums, []
 
-    def record(o, zs, u, tab, logs=None):
-        # a term's last step comes last, so its row is the one kept
-        rows.update(zip(np.asarray(zs).tolist(), u.copy()))
-        return real(o, zs, u, tab, logs)
+    def record(tab, u):
+        rows.extend(u.copy())
+        return real(tab, u)
 
     def check():
         rows.clear()
         conditional_entropies_all(o)
-        assert sorted(rows) == list(range(n))
-        for z, row in rows.items():
+        terms = [o.root_index, *metrics._Sweep(o).zs.tolist()]
+        assert len(rows) == len(terms)
+        # a term's last step comes last, so its row is the one kept
+        final = dict(zip(terms, rows))
+        assert sorted(final) == list(range(n))
+        for z, row in final.items():
             for x in range(n):
                 if x in anc[z]:
                     assert row[x] <= 0, (z, x)
@@ -160,7 +165,7 @@ def test_rows_mask_each_terms_ancestors(spec):
 
     for cells, lane_max in ((metrics._BLOCK_CELLS, metrics._LANE_MAX), (n, 2)):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metrics, "_entropy_rows", record)
+            mp.setattr(metrics, "_log2_sums", record)
             mp.setattr(metrics, "_BLOCK_CELLS", cells)
             mp.setattr(metrics, "_LANE_MAX", lane_max)
             under_each_wide_rule(check)
@@ -354,6 +359,37 @@ def test_walk_on_int32_lists_matches_uint16(spec):
         assert abs(long[0][zi] - brute(o, z)) <= 1e-9
     for got, want in zip(long, short):
         assert np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dags())
+@example(EXTRA_ANCESTOR)
+@example(STEP_KINDS)
+def test_walk_on_int32_rows_matches_int16(spec):
+    """The walk's rows are int16 below metrics._NARROW_ROWS terms and
+    int32 from it on; forced to int32 here, with blocks of one or three
+    steps and terms cut into steps of two lanes or not, the walk matches
+    the int16 run and the one-term reference exactly at 1 to 3 workers
+    under every wide rule."""
+    o = build(spec)
+    expected = np.array([conditional_entropy_given(o, t) for t in o.ids])
+
+    def runs(bound, dtype):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_NARROW_ROWS", bound)
+            assert metrics._Sweep(o).u_root.dtype == dtype
+            return [got for workers in (1, 2, 3) for got in under_each_wide_rule(
+                lambda: conditional_entropies_all(o, workers=workers))]
+
+    for terms, lane_max in itertools.product((1, 3), (metrics._LANE_MAX, 2)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_BLOCK_CELLS", terms * len(o))
+            mp.setattr(metrics, "_LANE_MAX", lane_max)
+            short = runs(metrics._NARROW_ROWS, np.int16)
+            long = runs(len(o), np.int32)
+        for case, (got, want) in enumerate(zip(long, short)):
+            assert np.array_equal(got, want), (terms, lane_max, case)
+            assert np.array_equal(got, expected), (terms, lane_max, case)
 
 
 def set_schedule(o):
