@@ -30,7 +30,8 @@ _ANC_BLOCK ids at a time; a block is n rows of at most _ANC_BLOCK bits,
 so no n x n bit array exists above _ANC_BLOCK terms, and no block
 outlives its caller. _closure_lists reads the ancestor lists out of the
 blocks' set bits; the gIC sweep in metrics reads its descendant sets off
-them.
+them, as complemented packed rows of reflexive descendants for wide
+terms and sorted lists of strict descendants for narrow ones.
 """
 
 from bisect import bisect_left

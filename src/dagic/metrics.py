@@ -48,6 +48,7 @@ class ICTable:
         return float(self.normalized[self.ontology.index(term_id)])
 
     def is_defined(self, term_id):
+        self.ontology.index(term_id)  # an unknown id raises UnknownTerm
         return term_id not in self.undefined_terms
 
 
@@ -129,9 +130,9 @@ def _log2_sums(tab, u):
 # blocks lays out at most _BLOCK_CELLS scatter entries at once and holds
 # at most _BLOCK_CELLS // 64 steps
 _BLOCK_CELLS = 2**15
-# new ancestors per step and per block, and lanes per uint8 reduce: a
-# byte lane holds at most 255 (a uint8 reduce runs about twice as fast as
-# a uint16 one)
+# new ancestors per step and per block: a step's uint8 reduce, of its
+# wide lanes from initial= its narrow count, holds at most 255 (a uint8
+# reduce runs about twice as fast as a uint16 one)
 _LANE_MAX = 255
 # the walk's rows are int16 below this many terms and int32 from it on, as
 # dag._NARROW_TERMS bounds the uint16 lists; a row entry lies in [-n, n]
@@ -154,34 +155,35 @@ def _descendant_store(o, tp):
     tp[z]. This is the one pass over the lists that _Sweep makes.
 
     A wide term a (_is_wide) has the complemented packed row comp[slot[a]]
-    of ceil(n / 8) bytes, bit x clear when x is a descendant; comp's last
-    row is all ones and is every narrow term's slot. A narrow term lists
-    its descendants ascending in idx[ptr[a]:ptr[a + 1]], of anc_idx's
-    type; a wide term's list is empty.
+    of ceil(n / 8) bytes, bit x clear when x is a reflexive descendant;
+    every narrow term's slot is len(comp), past the last row. A narrow
+    term lists its strict descendants ascending in idx[ptr[a]:ptr[a + 1]],
+    of anc_idx's type: its own entry is left out, since the walk masks
+    it in the step that adds a. A wide term's list is empty.
 
     Each list entry (z, a) clears bit z of a bool row: a's own if a is
-    wide, else a spare row after the ones row that the packing drops.
+    wide, else a spare last row that the packing drops.
     Moved to bit tp[z], the same entry then reads whether a wide a is new.
     For a narrow a, the keys z * n + a of the narrow entries ascend, and
     so do the keys of the parents' narrow entries relabelled to the child
     z; anc(tp[z]) is inside anc(z), so one search finds every one of the
-    latter, and the narrow entries it misses are new. The narrow entries,
-    stably sorted by ancestor, give the lists."""
+    latter, and the narrow entries it misses are new. The narrow entries
+    but each term's own, stably sorted by ancestor, give the lists."""
     n, anc, counts = len(o), o.anc_idx, o.anc_counts
     sizes = o.desc_counts + 1
     wide = _is_wide(sizes, n)
-    ones = int(np.count_nonzero(wide))
-    slot = np.full(n, ones, dtype=np.min_scalar_type(ones))
-    slot[wide] = np.arange(ones)
+    rows = int(np.count_nonzero(wide))
+    slot = np.full(n, rows, dtype=np.min_scalar_type(rows))
+    slot[wide] = np.arange(rows)
     width = -(-n // 8) * 8
-    spare = (ones + 1) * width
+    spare = rows * width
     dtype = np.int32 if spare + width < 2**31 else np.int64
     first = np.full(n, spare, dtype=dtype)  # each term's row's first bit
-    first[wide] = np.arange(0, ones * width, width)
+    first[wide] = np.arange(0, spare, width)
     terms = np.arange(n, dtype=dtype)
     pos = first.take(anc)
     pos += np.repeat(terms, counts)
-    bits = np.ones((ones + 2, width), dtype=bool)
+    bits = np.ones((rows + 1, width), dtype=bool)
     bits.reshape(-1)[pos] = False
     # bit tp[z] of the same row, set when a wide a is not over tp[z]
     pos -= np.repeat(terms - tp.astype(dtype), counts)
@@ -202,10 +204,10 @@ def _descendant_store(o, tp):
     del keys, inherited
     new[narrow] = missed
     x = np.repeat(np.arange(n, dtype=anc.dtype), narrow_counts)
-    idx = x.take(np.argsort(below, kind="stable"))
-    sizes[wide] = 0
+    strict = x != below
+    idx = x.compress(strict).take(np.argsort(below.compress(strict), kind="stable"))
     ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(sizes, out=ptr[1:])
+    np.cumsum(np.where(wide, 0, o.desc_counts), out=ptr[1:])
     return slot, comp, ptr, idx, anc.compress(new)
 
 
@@ -222,43 +224,42 @@ class _Sweep:
     anc(z) \\ anc(p), where desc* is the reflexive descendant set. One
     pass over the ancestor lists, _descendant_store(), gives the
     descendant sets (a complemented packed row for each wide term and a
-    sorted list for each narrow one) and every term's new ancestors,
-    ascending.
+    sorted list of strict descendants for each narrow one) and every
+    term's new ancestors, ascending.
 
     The schedule takes the terms in one depth-first preorder of the tree,
     so each subtree of the root is one run, and cuts each term's new
     ancestors into consecutive steps of at most _LANE_MAX, as many as a
-    term needs and at least one. A term's first step starts from its tree
-    parent's U (source) and each later one from its previous step's, so a
-    step before a term's last holds exactly _LANE_MAX. The steps' new
-    ancestors lie end to end, step i's at new[new_at[i]:new_at[i + 1]],
-    and the steps are cut into blocks of consecutive steps (bounds): a
-    block opens where a subtree of the root starts and before a step that
-    would give it more than _BLOCK_CELLS // n steps (at least one) or
-    more than _LANE_MAX new ancestors, so its new ancestors are a
-    contiguous slice.
+    term needs (z itself is new, so at least one). A term's first step
+    starts from its tree parent's U (source) and each later one from its
+    previous step's, so a step before a term's last holds exactly
+    _LANE_MAX. The steps' new ancestors lie end to end, step i's at
+    new[new_at[i]:new_at[i + 1]], and the steps are cut into blocks of
+    consecutive steps (bounds): a block opens where a subtree of the
+    root starts and before a step that would give it more than
+    _BLOCK_CELLS // n steps (at least one) or more than _LANE_MAX new
+    ancestors, so its new ancestors are a contiguous slice.
 
     The rows carry each term's mask of its ancestors: an entry is set to
     0 in the row where its term becomes an ancestor, which is the root's
     own entry in U_root and each step's new ancestors in that step's row.
-    Every entry outside anc(z) is at least 1, and steps only subtract,
-    so a masked entry stays at most 0 in every row below and reads 0 from
-    the table (_log2_table). No entry falls below -n, so the rows are
-    int16 while n < _NARROW_ROWS and int32 above, signed for the masked
-    entries; u_root is the root's row.
+    A step's net change at every other entry x is -sum of 1[x not in
+    desc*(a)] over its new ancestors a, so, as every entry outside anc(z)
+    is at least 1, a masked entry stays at most 0 in every row below and
+    reads 0 from the table (_log2_table). No final entry falls below -n,
+    so the rows are int16 while n < _NARROW_ROWS and int32 above, signed
+    for the masked entries; u_root is the root's row.
 
-    Step i's lanes, lane_at[i] to lane_at[i + 1], are the byte rows it
-    subtracts: the unpacked complemented row comp[lane_rows[l]] of each
-    wide new ancestor, and one lane for all its narrow ones (narrow lane
-    fill_at[i], if fill_at[i + 1] is past it), which starts as their
-    number and loses one for each of them over x: a fill, then a scatter
-    of their descendant lists. Narrow lane j is lane fill_lane[j] of its
-    block, with fill[j] narrow new ancestors narrow[fill_entries[j]:
-    fill_entries[j + 1]], whose scatters start at fill_lane[j] * width,
-    the lane's first byte in its block's unpacked rows. A leaf whose
-    only new ancestor is itself has no lane and no new list: it takes
-    U_p - 1, which is off only at its own entry, and masks that entry
-    (no term inherits from it).
+    Step i's lanes, lane_at[i] to lane_at[i + 1], are the unpacked
+    complemented rows comp[lane_rows[l]] of its wide new ancestors. Its
+    c narrow new ancestors have no lane: the step subtracts c from every
+    entry and adds 1 back at each strict descendant of each of them (its
+    scatter entries). Before that scatter an entry sits up to _LANE_MAX
+    below its final value; int16 and int32 array arithmetic wraps modulo
+    2^16 and 2^32, and the final value lies in [-n, n], so the row is
+    exact. A leaf whose only new ancestor is itself has neither a lane
+    nor a scatter entry if it is narrow: it takes U_p - 1 and masks its
+    own entry.
 
     The blocks are grouped once, into windows of whole blocks: window[b]
     ends the one that starts at block b, which holds at most _BLOCK_CELLS
@@ -266,13 +267,11 @@ class _Sweep:
     alone.
 
     The schedule is kept as the numpy arrays it is computed as, none as
-    a Python list: per step zs (the term) and source, and lane_at, new_at
-    and fill_at with one more entry for the end; per block window, and
-    bounds with the end; per new ancestor new; per lane lane_rows; per
-    narrow lane fill_lane and fill, and fill_entries with the end; and
-    per narrow new ancestor narrow. walk() reads the per-step ones as
-    lists a window at a time, and derives the window's scatter entries
-    and their offsets there.
+    a Python list: per step zs (the term) and source, and lane_at and
+    new_at with one more entry for the end; per block window, and bounds
+    with the end; per new ancestor new; and per lane lane_rows. walk()
+    reads the per-step ones as lists a window at a time, and lays out the
+    window's scatter entries there.
     """
 
     def __init__(self, o):
@@ -292,14 +291,10 @@ class _Sweep:
         tp[child[picks]] = parent[picks]
 
         slot, self.comp, self.desc_ptr, self.desc_idx, new_idx = _descendant_store(o, tp)
-        self.width = 8 * self.comp.shape[1]  # bytes of an unpacked row: n, then padding
         # anc(p) is inside anc(z), so |anc(z) \\ anc(p)| is a difference
         new_counts = counts - counts[tp]
         new_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(new_counts, out=new_ptr[1:])
-        # new ancestors whose lanes each term subtracts: none for a leaf whose
-        # only new ancestor is itself
-        lane_counts = np.where((new_counts == 1) & (o.desc_counts == 0), 0, new_counts)
 
         tree_children = [[] for _ in range(n)]
         for z, p in enumerate(tp.tolist()):
@@ -311,57 +306,41 @@ class _Sweep:
             stack.extend(reversed(tree_children[z]))
             order.append(z)
         del tree_children
-        # step k of a term walks its lanes from k * _LANE_MAX on
-        term_lanes = lane_counts[order]
-        steps = np.maximum(1, -(-term_lanes // _LANE_MAX))
+        # step k of a term takes its new ancestors from k * _LANE_MAX on
+        term_new = new_counts[order]
+        steps = -(-term_new // _LANE_MAX)
         self.zs = zs = np.repeat(np.array(order, dtype=np.intp), steps)
         k = np.arange(len(zs)) - np.repeat(np.cumsum(steps) - steps, steps)
-        lanes_of = np.minimum(np.repeat(term_lanes, steps) - k * _LANE_MAX, _LANE_MAX)
+        new_of = np.minimum(np.repeat(term_new, steps) - k * _LANE_MAX, _LANE_MAX)
         self.source = np.where(k == 0, tp[zs], zs)
         bounds, start, used = [], 0, 0
-        for i, (r, s) in enumerate(zip(lanes_of.tolist(), self.source.tolist())):
+        for i, (r, s) in enumerate(zip(new_of.tolist(), self.source.tolist())):
             if s == root or i - start == per_block or used + r > _LANE_MAX:
                 bounds.append(i)
                 start, used = i, 0
             used += r
         bounds.append(len(zs))
-        self.bounds = np.array(bounds)
+        self.bounds = b = np.array(bounds)
         del bounds
         # the steps' new ancestors, laid end to end; walk masks with an intp
         # copy, which writes a row faster than a narrow index
-        pos, new_at = _runs(new_ptr[zs] + k * _LANE_MAX, lanes_of, len(new_idx))
+        pos, new_at = _runs(new_ptr[zs] + k * _LANE_MAX, new_of, len(new_idx))
         new = new_idx.take(pos)
-        self.new = new.astype(np.intp)
+        self.new, self.new_at = new.astype(np.intp), new_at
         del pos, k, new_idx
-        # a new ancestor starts a lane if it is wide or its step's first
-        # narrow one
-        heads = slot.take(new) != len(self.comp) - 1
-        narrow = np.flatnonzero(~heads)
-        step = np.searchsorted(new_at, narrow, side="right") - 1
-        starts = np.diff(step, prepend=-1) != 0
-        heads[narrow[starts]] = True
+        wide = slot.take(new) != len(self.comp)
         lane_at = np.zeros(len(new) + 1, dtype=np.int64)
-        np.cumsum(heads, out=lane_at[1:])
-        self.lane_rows = slot.take(new.compress(heads))
-        # lanes are numbered from their block's first
-        first = np.repeat(lane_at[new_at[self.bounds[:-1]]], np.diff(self.bounds))
-        self.fill_lane = lane_at.take(narrow.compress(starts)) - first.take(step.compress(starts))
-        starts = np.flatnonzero(starts)
-        self.fill = np.diff(starts, append=len(narrow)).astype(np.uint8)
-        self.fill_at = np.searchsorted(step.take(starts), np.arange(len(zs) + 1))
-        self.fill_entries = np.append(starts, len(narrow))
-        self.narrow = new.take(narrow)
-        # each block's first scatter entry (lane * width + x for each
-        # descendant x of a narrow new ancestor), then the windows
-        scattered = np.zeros(len(narrow) + 1, dtype=np.int64)
-        np.cumsum(np.diff(self.desc_ptr).take(self.narrow), out=scattered[1:])
-        b = self.bounds
-        hits = scattered.take(self.fill_entries.take(self.fill_at.take(b)))
+        np.cumsum(wide, out=lane_at[1:])
+        self.lane_rows = slot.take(new.compress(wide))
+        self.lane_at = lane_at.take(new_at)
+        # each block's first scatter entry (a wide new ancestor lists
+        # none), then the windows
+        scattered = np.zeros(len(new) + 1, dtype=np.int64)
+        np.cumsum(np.diff(self.desc_ptr).take(new), out=scattered[1:])
+        hits = scattered.take(new_at.take(b))
         window = np.minimum(np.searchsorted(hits, hits[:-1] + _BLOCK_CELLS, "right"),
                             np.searchsorted(b, b[:-1] + _BLOCK_CELLS // 64, "right")) - 1
         self.window = np.maximum(window, np.arange(1, len(b)))
-        self.lane_at = lane_at.take(new_at)
-        self.new_at = new_at
 
     def shares(self, workers):
         """The blocks as at most `workers` ranges, each a run of whole
@@ -381,76 +360,70 @@ class _Sweep:
         of the root, setting out[z], the sum of log2 |Y_xz|, for each of
         their terms.
 
-        A block unpacks all its lanes at once, fills its narrow lanes and
-        scatters their descendant lists. Each step subtracts its lanes from
-        its source's U: one lane alone, or a uint8 reduce of several, which
-        cannot wrap, and then masks its new ancestors. Each block writes
-        its rows into a fresh (steps, n) array. One table lookup and one
-        row sum (_log2_sums) give the block's sums of log2 |Y_xz|, and a
-        term's last step stores its sum in out[z];
+        A block unpacks all its lanes at once. Each step subtracts from its
+        source's U its c narrow new ancestors and its lanes: c alone as a
+        scalar, one lane alone, or a uint8 reduce of its lanes with
+        initial=c, which cannot wrap, as a step holds at most _LANE_MAX
+        new ancestors. It then adds 1 at each of its scatter entries with
+        one np.add.at on its own row and masks its new ancestors. Each
+        block writes its rows into a fresh (steps, n) array. One table
+        lookup and one row sum (_log2_sums) give the block's sums of
+        log2 |Y_xz|, and a term's last step stores its sum in out[z];
         conditional_entropies_all forms every H(.|z) from them once. In
         preorder every step's source lies on the path to the previous step,
         so the path keeps views of the rows on it, and a block's array
         outlives the block only while the path holds one of its rows.
 
         Blocks run a window at a time (window), with one refresh per
-        window: its zs, source, lane_at, new_at and fill_at are read as
-        Python lists, so the per-step loop indexes Python ints while the
-        kept schedule stays in arrays, and its scatter entries are laid
-        out. Each entry's size comes from desc_ptr, its lane's offset is
-        fill_lane * width, and one cumulative sum of the sizes gives each
-        narrow lane's first entry in the layout.
+        window: its zs, source, lane_at and new_at are read as Python
+        lists, so the per-step loop indexes Python ints while the kept
+        schedule stays in arrays, and its scatter entries are laid out as
+        plain descendant indices, its new ancestors' lists end to end;
+        new_at reads each step's first entry (hit_at) off that layout.
         """
         n, bounds, new = len(self.o), self.bounds, self.new
         path = [(self.root, self.u_root)]  # (term, U) from the root to the last step
-        one = np.uint8(1)  # a uint8 scalar keeps np.subtract.at on its fast path
+        one = self.u_root.dtype.type(1)  # a scalar of the rows' type keeps np.add.at fast
         window = blocks.start
         for b in blocks:
             if b == window:
                 # the window's per-step schedule as Python ints, counted
-                # from step s0, and its scatter entries, narrow lane j's
-                # from hit_at[j - f0]
+                # from step s0, and its scatter entries, step i's from
+                # hit_at[i]
                 c0, window = b, min(int(self.window[b]), blocks.stop)
                 s0, s1 = int(bounds[b]), int(bounds[window])
                 at = (bounds[b:window + 1] - s0).tolist()
                 source, terms = self.source[s0:s1].tolist(), self.zs[s0:s1].tolist()
-                lane_at, new_at, fill_at = (a[s0:s1 + 1].tolist()
-                                            for a in (self.lane_at, self.new_at, self.fill_at))
-                f0, f1 = fill_at[0], fill_at[-1]
-                e0, e1 = self.fill_entries[f0], self.fill_entries[f1]
-                narrow = self.narrow[e0:e1]
-                ptr = self.desc_ptr.take(narrow)
-                sizes = self.desc_ptr.take(narrow + 1) - ptr
-                pos, scattered = _runs(ptr, sizes, len(self.desc_idx))
-                hits = np.repeat(np.repeat(self.fill_lane[f0:f1] * self.width, self.fill[f0:f1]),
-                                 sizes)
-                hits += self.desc_idx.take(pos)
-                hit_at = scattered.take(self.fill_entries[f0:f1 + 1] - e0).tolist()
+                news = new[self.new_at[s0]:self.new_at[s1]]
+                ptr = self.desc_ptr.take(news)
+                pos, scattered = _runs(ptr, self.desc_ptr.take(news + 1) - ptr, len(self.desc_idx))
+                hits = self.desc_idx.take(pos).astype(np.intp)
+                hit_at = scattered.take(self.new_at[s0:s1 + 1] - self.new_at[s0]).tolist()
+                lane_at, new_at = (a[s0:s1 + 1].tolist() for a in (self.lane_at, self.new_at))
             b0, b1 = at[b - c0], at[b - c0 + 1]  # the block's steps, counted from s0
-            lo, j0, j1 = lane_at[b0], fill_at[b0], fill_at[b1]
+            lo = lane_at[b0]
             block = np.unpackbits(self.comp[self.lane_rows[lo:lane_at[b1]]], 1, bitorder="little")
-            if j1 > j0:
-                block[self.fill_lane[j0:j1]] = self.fill[j0:j1, None]
-                np.subtract.at(block.reshape(-1), hits[hit_at[j0 - f0]:hit_at[j1 - f0]], one)
             u = np.empty((b1 - b0, n), dtype=self.u_root.dtype)
             for i, u_z in enumerate(u, start=b0):
                 while path[-1][0] != source[i]:
                     path.pop()
                 src, start, stop = path[-1][1], lane_at[i] - lo, lane_at[i + 1] - lo
+                e0, e1 = new_at[i], new_at[i + 1]
+                c = e1 - e0 - (stop - start)  # the step's narrow new ancestors
                 if start == stop:
-                    np.subtract(src, 1, out=u_z)
-                    u_z[terms[i]] = 0
-                    continue  # a leaf: no term's tree parent
-                if stop - start == 1:
+                    np.subtract(src, c, out=u_z)
+                elif stop - start == 1 and not c:
                     np.subtract(src, block[start, :n], out=u_z)
                 else:
-                    np.subtract(src, np.add.reduce(block[start:stop], axis=0, dtype=np.uint8)[:n],
-                                out=u_z)
-                u_z[new[new_at[i]:new_at[i + 1]]] = 0
+                    np.subtract(src, np.add.reduce(block[start:stop], axis=0, dtype=np.uint8,
+                                                   initial=c)[:n], out=u_z)
+                if hit_at[i + 1] > hit_at[i]:
+                    np.add.at(u_z, hits[hit_at[i]:hit_at[i + 1]], one)
+                u_z[new[e0:e1]] = 0
                 path.append((terms[i], u_z))
-            # a step before its term's last fills the lanes of its block, so
-            # no term has two steps in one block, and the block of its last
-            # step, written later, sets out[z]
+            # a step before its term's last holds _LANE_MAX new ancestors and
+            # so ends its block, so no term has two steps in one block, and
+            # the block of its last step, written later, sets out[z]
             self.out[self.zs[s0 + b0:s0 + b1]] = _log2_sums(self.tab, u)
 
 

@@ -46,10 +46,16 @@ def build(spec):
 # n04 hangs under n03 (three ancestors) while n02 adds itself; n05 then
 # takes n04 as tree parent and inherits that extra ancestor
 EXTRA_ANCESTOR = (6, [{0}, {0}, {1}, {2, 3}, {4}])
-# each kind of walk step: n05, a leaf under n03 alone, whose only new
-# ancestor is itself, takes the scalar step; n04, a leaf under n01 that
-# n02 also brings, reduces two rows; n02 and n03, inner terms whose only
-# new ancestor is themselves, each subtract one row with no reduce
+# each branch of a walk step, across the wide rules (every term is wide
+# under the real rule at this size): n05, a leaf under n03 alone whose
+# only new ancestor is itself, subtracts one wide lane, or, where it is
+# narrow, a scalar with no scatter (a leaf has no strict descendant);
+# n01, n02 and n03, inner terms whose only new ancestor is themselves,
+# subtract one wide lane, or, where narrow, a scalar plus a scatter of
+# their strict descendants; n04, a leaf under n01 that n02 also brings,
+# reduces two wide lanes, and under "odd sizes wide" reduces its own
+# lane from initial=1 for the narrow n02 and scatters n02's descendant
+# n04 (test_step_kinds_run_every_branch_of_the_walk)
 STEP_KINDS = (6, [{0}, {0}, {1}, {1, 2}, {3}])
 
 common = settings(max_examples=150, deadline=None)
@@ -79,10 +85,11 @@ def test_descendant_store_matches_sets(spec):
     """The store read off uint16 ancestor lists and off int32 ones,
     under the real wide rule and each of WIDE_RULES: a wide term's
     complemented row has bit x clear exactly for its reflexive
-    descendants x, the last row is all ones, and a narrow term lists its
-    descendants ascending, in the ancestor lists' type; a wide term
-    lists none. The same pass gives each term's ancestors missing from
-    its tree parent's, ascending and term by term."""
+    descendants x, one row per wide term; a narrow term's slot is past
+    the last row and it lists its strict descendants ascending, in the
+    ancestor lists' type; a wide term lists none. The same pass gives
+    each term's ancestors missing from its tree parent's, ascending and
+    term by term."""
     n, parents = spec
     anc = [{0}]  # reflexive ancestors by node number
     for i, ps in enumerate(parents, start=1):
@@ -99,16 +106,15 @@ def test_descendant_store_matches_sets(spec):
         stores = under_each_wide_rule(lambda: metrics._descendant_store(o, np.array(tp)))
         for rule, (slot, comp, ptr, idx, new) in zip(rules, stores):
             wide = rule(sizes, n)
-            ones = len(comp) - 1
-            assert np.array_equal(slot != ones, wide) and slot[wide].tolist() == list(range(ones))
-            assert comp.shape == (ones + 1, (n + 7) // 8) and comp.dtype == np.uint8
+            count = int(wide.sum())
+            assert np.array_equal(slot != count, wide) and slot[wide].tolist() == list(range(count))
+            assert comp.shape == (count, (n + 7) // 8) and comp.dtype == np.uint8
             rows = np.unpackbits(comp, axis=1, bitorder="little")[:, :n]
-            assert rows[-1].all()
-            assert [np.flatnonzero(r == 0).tolist() for r in rows[:-1]] == [
+            assert [np.flatnonzero(r == 0).tolist() for r in rows] == [
                 below[a] for a in np.flatnonzero(wide)]
             assert idx.dtype == dtype
             assert [idx[ptr[a]:ptr[a + 1]].tolist() for a in range(n)] == [
-                [] if wide[a] else below[a] for a in range(n)]
+                [] if wide[a] else [x for x in below[a] if x != a] for a in range(n)]
             assert new.tolist() == [a for z in range(n) for a in new_sets[z]]
 
 
@@ -310,8 +316,8 @@ def test_walk_across_schedule_windows():
             while ends[-1] < len(b) - 1:
                 ends.append(int(sweep.window[ends[-1]]))
             for w0, w1 in zip(ends, ends[1:]):
-                e0, e1 = sweep.fill_entries[sweep.fill_at[[b[w0], b[w1]]]]
-                sizes = np.diff(sweep.desc_ptr)[sweep.narrow[e0:e1]]
+                e0, e1 = sweep.new_at[[b[w0], b[w1]]]
+                sizes = np.diff(sweep.desc_ptr)[sweep.new[e0:e1]]
                 assert w1 == w0 + 1 or (b[w1] - b[w0] <= cells // 64 and sizes.sum() <= cells)
             assert len(ends) - 1 > 3
             if cells > 64:  # some window holds two blocks or more
@@ -413,10 +419,11 @@ def set_schedule(o):
 
 
 def schedules(o):
-    """(schedule, steps per block, lanes per step) of the walk over o under
-    the real wide rule and each of WIDE_RULES, at the real block and lane
-    sizes and at blocks of two steps of at most two lanes."""
-    sizes = [(metrics._BLOCK_CELLS, metrics._LANE_MAX), (2 * len(o), 2)]
+    """(schedule, steps per block, new ancestors per step) of the walk over
+    o under the real wide rule and each of WIDE_RULES, at the real block
+    and step sizes, at blocks of two steps of at most two new ancestors,
+    and at blocks of one step of one."""
+    sizes = [(metrics._BLOCK_CELLS, metrics._LANE_MAX), (2 * len(o), 2), (len(o), 1)]
     out = []
     for cells, lane_max in sizes:
         with pytest.MonkeyPatch.context() as mp:
@@ -432,17 +439,16 @@ def schedules(o):
 @example(EXTRA_ANCESTOR)
 @example(STEP_KINDS)
 def test_schedule_steps_follow_the_preorder(spec):
-    """Each non-root term has max(1, ceil(lanes / _LANE_MAX)) consecutive
-    steps in the tree's preorder, where its lanes are its new ancestors,
-    none for a leaf whose only new ancestor is itself; its first step
-    starts from its tree parent and each later one from the term."""
+    """Each non-root term has ceil(|new ancestors| / _LANE_MAX)
+    consecutive steps in the tree's preorder, at least one since the term
+    itself is new; its first step starts from its tree parent and each
+    later one from the term."""
     o = build(spec)
-    desc, tp, new, order = set_schedule(o)
+    _, tp, new, order = set_schedule(o)
     for sweep, _, lane_max in schedules(o):
         want_zs, want_source = [], []
         for z in order:
-            lanes = 0 if new[z] == [z] and desc[z] == {z} else len(new[z])
-            steps = max(1, -(-lanes // lane_max))
+            steps = -(-len(new[z]) // lane_max)
             want_zs += [z] * steps
             want_source += [tp[z]] + [z] * (steps - 1)
         assert sweep.zs.tolist() == want_zs
@@ -454,36 +460,62 @@ def test_schedule_steps_follow_the_preorder(spec):
 @example(EXTRA_ANCESTOR)
 @example(STEP_KINDS)
 def test_schedule_lanes_sum_to_the_new_ancestors_rows(spec):
-    """Each step's lanes, rebuilt from the schedule alone (the unpacked
-    comp rows, then each narrow lane's fill less a scatter of its narrow
-    new ancestors' descendant lists), sum to the count over the step's new
-    ancestors a of 1[x not in desc*(a)]; a step with no lane is a leaf
-    whose only new ancestor is itself."""
+    """Each step's change to its source's row before masking, rebuilt
+    from the schedule alone (the sum of its unpacked wide comp rows, plus
+    its narrow count c, less one at each of its scatter entries, the
+    strict descendant lists of its narrow new ancestors), is the count
+    over the step's new ancestors a of 1[x not in desc*(a)] at every x
+    but the narrow new ancestors themselves, which lose one more and are
+    masked in the same step. No step holds more than _LANE_MAX new
+    ancestors, so its uint8 reduce of its wide lanes from initial=c
+    cannot wrap."""
     o = build(spec)
     n = len(o)
     desc, _, new, _ = set_schedule(o)
     for sweep, _, lane_max in schedules(o):
-        b, k = sweep.bounds, 0
-        terms = sweep.zs.tolist()
+        terms, k = sweep.zs.tolist(), 0
         for i, z in enumerate(terms):
             k = k + 1 if i and terms[i - 1] == z else 0
-            if sweep.lane_at[i] == sweep.lane_at[i + 1]:
-                assert new[z] == [z] and desc[z] == {z}
-                continue
-            block = max(j for j in range(len(b) - 1) if b[j] <= i)
-            lo, hi = sweep.lane_at[b[block]], sweep.lane_at[b[block + 1]]
-            rows = np.unpackbits(sweep.comp[sweep.lane_rows[lo:hi]], axis=1, bitorder="little")
-            rows = rows.astype(np.int64)
-            for j in range(sweep.fill_at[b[block]], sweep.fill_at[b[block + 1]]):
-                rows[sweep.fill_lane[j]] = sweep.fill[j]
-                for e in range(sweep.fill_entries[j], sweep.fill_entries[j + 1]):
-                    a = sweep.narrow[e]
-                    below = sweep.desc_idx[sweep.desc_ptr[a]:sweep.desc_ptr[a + 1]]
-                    np.subtract.at(rows.reshape(-1), sweep.fill_lane[j] * sweep.width + below, 1)
-            got = rows[sweep.lane_at[i] - lo:sweep.lane_at[i + 1] - lo, :n].sum(axis=0)
             step_new = new[z][k * lane_max:(k + 1) * lane_max]
-            want = [sum(x not in desc[a] for a in step_new) for x in range(n)]
+            e0, e1 = sweep.new_at[i], sweep.new_at[i + 1]
+            assert sweep.new[e0:e1].tolist() == step_new
+            lanes = sweep.lane_rows[sweep.lane_at[i]:sweep.lane_at[i + 1]]
+            c = (e1 - e0) - len(lanes)
+            assert len(lanes) + c <= lane_max
+            rows = np.unpackbits(sweep.comp[lanes], axis=1, bitorder="little")[:, :n]
+            got = rows.astype(np.int64).sum(axis=0) + c
+            for a in sweep.new[e0:e1]:
+                np.subtract.at(got, sweep.desc_idx[sweep.desc_ptr[a]:sweep.desc_ptr[a + 1]], 1)
+            # a lane's row is its wide term's reflexive descendant set
+            wide = [a for a in step_new if any(set(np.flatnonzero(r == 0).tolist()) == desc[a]
+                                               for r in rows)]
+            assert len(wide) == len(lanes)
+            narrow = set(step_new) - set(wide)
+            want = [sum(x not in desc[a] for a in step_new) + (x in narrow) for x in range(n)]
             assert got.tolist() == want
+
+
+def test_step_kinds_run_every_branch_of_the_walk():
+    """Across the wide rules, STEP_KINDS's steps take each branch of a
+    walk step: a scalar alone, a scalar plus a scatter, one wide lane
+    alone, a reduce of two wide lanes, and a reduce of a wide lane from
+    initial=c with c > 0."""
+    o = build(STEP_KINDS)
+    seen = set()
+    for sweep, _, _ in schedules(o):
+        sizes = np.diff(sweep.desc_ptr)
+        for i in range(len(sweep.zs)):
+            e0, e1 = sweep.new_at[i], sweep.new_at[i + 1]
+            lanes = int(sweep.lane_at[i + 1] - sweep.lane_at[i])
+            c, scattered = int(e1 - e0) - lanes, bool(sizes[sweep.new[e0:e1]].sum())
+            if lanes == 0:
+                seen.add("scalar and scatter" if scattered else "scalar")
+            elif lanes == 1 and c == 0:
+                seen.add("one lane")
+            else:
+                seen.add("reduce from initial=c" if c else "reduce")
+    assert seen == {"scalar", "scalar and scatter", "one lane", "reduce",
+                    "reduce from initial=c"}
 
 
 @common
@@ -492,14 +524,15 @@ def test_schedule_lanes_sum_to_the_new_ancestors_rows(spec):
 @example(STEP_KINDS)
 def test_schedule_blocks_stay_within_their_bounds(spec):
     """No block holds more than max(1, _BLOCK_CELLS // n) steps or more
-    than _LANE_MAX lanes, and none spans two subtrees of the root."""
+    than _LANE_MAX new ancestors, and none spans two subtrees of the
+    root."""
     o = build(spec)
     for sweep, per_block, lane_max in schedules(o):
         b = sweep.bounds
         assert b[0] == 0 and b[-1] == len(sweep.zs)
         for b0, b1 in zip(b, b[1:]):
             assert 1 <= b1 - b0 <= per_block
-            assert sweep.lane_at[b1] - sweep.lane_at[b0] <= lane_max
+            assert sweep.new_at[b1] - sweep.new_at[b0] <= lane_max
             assert o.root_index not in sweep.source[b0 + 1:b1]
 
 

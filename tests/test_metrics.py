@@ -244,6 +244,10 @@ def test_ric_anchors():
     assert not table.is_defined("d")
     assert math.isnan(table.raw_of("d"))
     assert table.normalized_of("a") == 1.0  # max over defined terms only
+    # an id outside the ontology is unknown to every per-term accessor
+    for accessor in (table.raw_of, table.normalized_of, table.is_defined):
+        with pytest.raises(UnknownTerm):
+            accessor("no-such-id")
 
 
 def test_ric_monotone_where_defined(rng):
