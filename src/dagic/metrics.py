@@ -128,7 +128,8 @@ def _log2_sums(tab, u):
 # a block of the walk holds at most _BLOCK_CELLS // n terms (at least
 # one), so its n-wide U and log2 rows stay a few hundred KiB; a window of
 # blocks lays out at most _BLOCK_CELLS scatter entries at once and holds
-# at most _BLOCK_CELLS // 64 steps
+# at most _BLOCK_CELLS // 64 steps, which bounds its temporary arrays that
+# grow with its new ancestors
 _BLOCK_CELLS = 2**15
 # new ancestors per step and per block: a step's uint8 reduce, of its
 # wide lanes from initial= its narrow count, holds at most 255 (a uint8
@@ -267,11 +268,12 @@ class _Sweep:
     alone.
 
     The schedule is kept as the numpy arrays it is computed as, none as
-    a Python list: per step zs (the term) and source, and lane_at and
-    new_at with one more entry for the end; per block window, and bounds
-    with the end; per new ancestor new; and per lane lane_rows. walk()
-    reads the per-step ones as lists a window at a time, and lays out the
-    window's scatter entries there.
+    a Python list: per step zs (the term) and source, and lane_at, new_at
+    and hit_at (its first scatter entry, counted over the whole sweep)
+    with one more entry for the end; per block window, and bounds with the
+    end; per new ancestor new, as intp; and per lane lane_rows. walk()
+    reads the per-step ones and bounds in place through memoryviews, and
+    lays out only a window's scatter entries at a time.
     """
 
     def __init__(self, o):
@@ -314,7 +316,7 @@ class _Sweep:
         new_of = np.minimum(np.repeat(term_new, steps) - k * _LANE_MAX, _LANE_MAX)
         self.source = np.where(k == 0, tp[zs], zs)
         bounds, start, used = [], 0, 0
-        for i, (r, s) in enumerate(zip(new_of.tolist(), self.source.tolist())):
+        for i, (r, s) in enumerate(zip(memoryview(new_of), memoryview(self.source))):
             if s == root or i - start == per_block or used + r > _LANE_MAX:
                 bounds.append(i)
                 start, used = i, 0
@@ -322,22 +324,22 @@ class _Sweep:
         bounds.append(len(zs))
         self.bounds = b = np.array(bounds)
         del bounds
-        # the steps' new ancestors, laid end to end; walk masks with an intp
-        # copy, which writes a row faster than a narrow index
+        # the steps' new ancestors, laid end to end, as intp: walk masks with
+        # them, which writes a row faster than a narrow index
         pos, new_at = _runs(new_ptr[zs] + k * _LANE_MAX, new_of, len(new_idx))
-        new = new_idx.take(pos)
-        self.new, self.new_at = new.astype(np.intp), new_at
+        self.new = new = new_idx.take(pos).astype(np.intp)
         del pos, k, new_idx
         wide = slot.take(new) != len(self.comp)
         lane_at = np.zeros(len(new) + 1, dtype=np.int64)
         np.cumsum(wide, out=lane_at[1:])
         self.lane_rows = slot.take(new.compress(wide))
-        self.lane_at = lane_at.take(new_at)
-        # each block's first scatter entry (a wide new ancestor lists
-        # none), then the windows
+        self.new_at, self.lane_at = new_at, lane_at.take(new_at)
+        # each step's first scatter entry over the whole sweep (a wide new
+        # ancestor lists none), then the windows
         scattered = np.zeros(len(new) + 1, dtype=np.int64)
         np.cumsum(np.diff(self.desc_ptr).take(new), out=scattered[1:])
-        hits = scattered.take(new_at.take(b))
+        self.hit_at = scattered.take(new_at)
+        hits = self.hit_at.take(b)
         window = np.minimum(np.searchsorted(hits, hits[:-1] + _BLOCK_CELLS, "right"),
                             np.searchsorted(b, b[:-1] + _BLOCK_CELLS // 64, "right")) - 1
         self.window = np.maximum(window, np.arange(1, len(b)))
@@ -362,7 +364,7 @@ class _Sweep:
 
         A block unpacks all its lanes at once. Each step subtracts from its
         source's U its c narrow new ancestors and its lanes: c alone as a
-        scalar, one lane alone, or a uint8 reduce of its lanes with
+        scalar when it has no lane, else a uint8 reduce of its lanes with
         initial=c, which cannot wrap, as a step holds at most _LANE_MAX
         new ancestors. It then adds 1 at each of its scatter entries with
         one np.add.at on its own row and masks its new ancestors. Each
@@ -374,33 +376,30 @@ class _Sweep:
         so the path keeps views of the rows on it, and a block's array
         outlives the block only while the path holds one of its rows.
 
-        Blocks run a window at a time (window), with one refresh per
-        window: its zs, source, lane_at and new_at are read as Python
-        lists, so the per-step loop indexes Python ints while the kept
-        schedule stays in arrays, and its scatter entries are laid out as
-        plain descendant indices, its new ancestors' lists end to end;
-        new_at reads each step's first entry (hit_at) off that layout.
+        The per-step loop indexes the schedule by absolute step number
+        through memoryviews, which give Python ints without a copy. Blocks
+        run a window at a time (window), with one refresh per window: it
+        lays out the window's scatter entries as plain descendant indices,
+        its new ancestors' lists end to end, from entry h = hit_at[s0] of
+        the sweep on, so step i's are hits[hit_at[i] - h:hit_at[i + 1] - h].
         """
-        n, bounds, new = len(self.o), self.bounds, self.new
+        n, new = len(self.o), self.new
+        # the schedule's ints, read in place by absolute step number
+        bounds, source, terms, lane_at, new_at, hit_at = map(memoryview, (
+            self.bounds, self.source, self.zs, self.lane_at, self.new_at, self.hit_at))
         path = [(self.root, self.u_root)]  # (term, U) from the root to the last step
         one = self.u_root.dtype.type(1)  # a scalar of the rows' type keeps np.add.at fast
         window = blocks.start
         for b in blocks:
             if b == window:
-                # the window's per-step schedule as Python ints, counted
-                # from step s0, and its scatter entries, step i's from
-                # hit_at[i]
-                c0, window = b, min(int(self.window[b]), blocks.stop)
-                s0, s1 = int(bounds[b]), int(bounds[window])
-                at = (bounds[b:window + 1] - s0).tolist()
-                source, terms = self.source[s0:s1].tolist(), self.zs[s0:s1].tolist()
-                news = new[self.new_at[s0]:self.new_at[s1]]
+                # the window's scatter entries, its first one at hit_at[s0]
+                window = min(int(self.window[b]), blocks.stop)
+                s0, s1 = bounds[b], bounds[window]
+                news = new[new_at[s0]:new_at[s1]]
                 ptr = self.desc_ptr.take(news)
-                pos, scattered = _runs(ptr, self.desc_ptr.take(news + 1) - ptr, len(self.desc_idx))
-                hits = self.desc_idx.take(pos).astype(np.intp)
-                hit_at = scattered.take(self.new_at[s0:s1 + 1] - self.new_at[s0]).tolist()
-                lane_at, new_at = (a[s0:s1 + 1].tolist() for a in (self.lane_at, self.new_at))
-            b0, b1 = at[b - c0], at[b - c0 + 1]  # the block's steps, counted from s0
+                pos = _runs(ptr, self.desc_ptr.take(news + 1) - ptr, len(self.desc_idx))[0]
+                hits, h = self.desc_idx.take(pos).astype(np.intp), hit_at[s0]
+            b0, b1 = bounds[b], bounds[b + 1]
             lo = lane_at[b0]
             block = np.unpackbits(self.comp[self.lane_rows[lo:lane_at[b1]]], 1, bitorder="little")
             u = np.empty((b1 - b0, n), dtype=self.u_root.dtype)
@@ -412,19 +411,17 @@ class _Sweep:
                 c = e1 - e0 - (stop - start)  # the step's narrow new ancestors
                 if start == stop:
                     np.subtract(src, c, out=u_z)
-                elif stop - start == 1 and not c:
-                    np.subtract(src, block[start, :n], out=u_z)
                 else:
                     np.subtract(src, np.add.reduce(block[start:stop], axis=0, dtype=np.uint8,
                                                    initial=c)[:n], out=u_z)
                 if hit_at[i + 1] > hit_at[i]:
-                    np.add.at(u_z, hits[hit_at[i]:hit_at[i + 1]], one)
+                    np.add.at(u_z, hits[hit_at[i] - h:hit_at[i + 1] - h], one)
                 u_z[new[e0:e1]] = 0
                 path.append((terms[i], u_z))
             # a step before its term's last holds _LANE_MAX new ancestors and
             # so ends its block, so no term has two steps in one block, and
             # the block of its last step, written later, sets out[z]
-            self.out[self.zs[s0 + b0:s0 + b1]] = _log2_sums(self.tab, u)
+            self.out[self.zs[b0:b1]] = _log2_sums(self.tab, u)
 
 
 def conditional_entropies_all(o, workers=1):

@@ -77,9 +77,9 @@ def parse_obo(stream):
     terms = []
     seen = {}
     shared = {}  # text -> its one str object
-    in_term = False
     current = None
     current_line = 0
+    once = set()  # the current stanza's single-valued tags
 
     def finish():
         nonlocal current
@@ -99,18 +99,24 @@ def parse_obo(stream):
             continue
         if line.startswith("["):
             finish()
-            in_term = line == "[Term]"
-            if in_term:
+            if line == "[Term]":
                 current = OboTerm(id=None)
                 current_line = lineno
+                once.clear()
             continue
-        if not in_term:
+        if current is None:
             continue
         if ":" not in line:
             raise MalformedStanza(lineno, f"tag line without colon: {line!r}")
         tag, _, value = line.partition(":")
         tag = tag.strip()
         value = value.strip()
+        if tag in ("id", "namespace", "is_obsolete"):
+            # OBO 1.2 allows one of each; a second would silently replace
+            # the first and change which terms exist or survive filtering
+            if tag in once:
+                raise MalformedStanza(lineno, f"second {tag} tag in one [Term] stanza")
+            once.add(tag)
         if tag == "id":
             value = _strip_comment(value)
             if not value:

@@ -303,6 +303,8 @@ def test_invalid_utf8_is_error(tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv, bad, body, error", [
     (["entropy"], "x.obo", "[Term]\nid: X:0\n\n[Term]\nid: X:0\n",
      "x.obo:4: duplicate term id 'X:0'"),
+    (["entropy"], "x.obo", "[Term]\nid: A\nid: B\n\n[Term]\nid: C\nis_a: A\n",
+     "x.obo:3: second id tag in one [Term] stanza"),
     (["ic", "--metric", "ric", "--corpus", "c.tsv"], "c.tsv", "g1\tX:3\tIDA\n",
      "c.tsv:1: expected 2 tab-separated columns, got 3"),
     (["ic", "--metric", "ric", "--corpus", "c.gaf", "--corpus-format", "gaf"], "c.gaf",
@@ -311,7 +313,7 @@ def test_invalid_utf8_is_error(tmp_path, monkeypatch):
      "p.tsv:3: expected 2 tab-separated columns, got 1"),
     (["benchmark", "--corpus", "c.tsv", "--bitscores", "b.tsv"], "b.tsv",
      "g1\tg1\t9\ng1\tg2\t-5\n", "b.tsv:2: negative bit score -5.0"),
-], ids=["obo", "tsv", "gaf", "pairs", "bitscores"])
+], ids=["obo", "obo-second-id", "tsv", "gaf", "pairs", "bitscores"])
 def test_parse_error_names_file_and_line(tmp_path, monkeypatch, argv, bad, body, error):
     """A malformed input of each kind ends in exit 2 and one error line
     naming the file and the line, as a config file's errors do."""

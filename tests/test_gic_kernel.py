@@ -48,14 +48,15 @@ def build(spec):
 EXTRA_ANCESTOR = (6, [{0}, {0}, {1}, {2, 3}, {4}])
 # each branch of a walk step, across the wide rules (every term is wide
 # under the real rule at this size): n05, a leaf under n03 alone whose
-# only new ancestor is itself, subtracts one wide lane, or, where it is
-# narrow, a scalar with no scatter (a leaf has no strict descendant);
-# n01, n02 and n03, inner terms whose only new ancestor is themselves,
-# subtract one wide lane, or, where narrow, a scalar plus a scatter of
-# their strict descendants; n04, a leaf under n01 that n02 also brings,
-# reduces two wide lanes, and under "odd sizes wide" reduces its own
-# lane from initial=1 for the narrow n02 and scatters n02's descendant
-# n04 (test_step_kinds_run_every_branch_of_the_walk)
+# only new ancestor is itself, reduces one wide lane from initial=0, or,
+# where it is narrow, subtracts a scalar with no scatter (a leaf has no
+# strict descendant); n01, n02 and n03, inner terms whose only new
+# ancestor is themselves, reduce one wide lane from initial=0, or, where
+# narrow, subtract a scalar plus a scatter of their strict descendants;
+# n04, a leaf under n01 that n02 also brings, reduces two wide lanes from
+# initial=0, and under "odd sizes wide" reduces its own lane from
+# initial=1 for the narrow n02 and scatters n02's descendant n04
+# (test_step_kinds_run_every_branch_of_the_walk)
 STEP_KINDS = (6, [{0}, {0}, {1}, {1, 2}, {3}])
 
 common = settings(max_examples=150, deadline=None)
@@ -497,9 +498,9 @@ def test_schedule_lanes_sum_to_the_new_ancestors_rows(spec):
 
 def test_step_kinds_run_every_branch_of_the_walk():
     """Across the wide rules, STEP_KINDS's steps take each branch of a
-    walk step: a scalar alone, a scalar plus a scatter, one wide lane
-    alone, a reduce of two wide lanes, and a reduce of a wide lane from
-    initial=c with c > 0."""
+    walk step: a scalar alone, a scalar plus a scatter, and a reduce of
+    wide lanes from initial=c, at c = 0 with one lane and with two, and
+    at c > 0."""
     o = build(STEP_KINDS)
     seen = set()
     for sweep, _, _ in schedules(o):
@@ -510,12 +511,12 @@ def test_step_kinds_run_every_branch_of_the_walk():
             c, scattered = int(e1 - e0) - lanes, bool(sizes[sweep.new[e0:e1]].sum())
             if lanes == 0:
                 seen.add("scalar and scatter" if scattered else "scalar")
-            elif lanes == 1 and c == 0:
-                seen.add("one lane")
+            elif c:
+                seen.add("reduce from initial=c")
             else:
-                seen.add("reduce from initial=c" if c else "reduce")
-    assert seen == {"scalar", "scalar and scatter", "one lane", "reduce",
-                    "reduce from initial=c"}
+                seen.add(f"reduce of {min(lanes, 2)} lanes from initial=0")
+    assert seen == {"scalar", "scalar and scatter", "reduce of 1 lanes from initial=0",
+                    "reduce of 2 lanes from initial=0", "reduce from initial=c"}
 
 
 @common

@@ -84,6 +84,25 @@ def test_malformed_stanza_line_number():
     assert err.value.line_number == 3
 
 
+@pytest.mark.parametrize("tag, first, second", [
+    ("id", "A", "B"),
+    ("namespace", "molecular_function", "biological_process"),
+    ("is_obsolete", "false", "true"),
+])
+def test_single_valued_tag_given_twice(tag, first, second):
+    """OBO 1.2 allows one id, namespace and is_obsolete per stanza: a
+    second one is an error at its own line, not a silent overwrite of
+    the first, which would lose a term or change the filtering."""
+    lines = ["[Term]", f"{tag}: {first}", f"{tag}: {second}"]
+    if tag != "id":
+        lines.insert(1, "id: A")
+    text = "\n".join(lines) + "\n\n[Term]\nid: C\nis_a: A\n"
+    with pytest.raises(MalformedStanza) as err:
+        parse_obo(io.StringIO(text))
+    assert err.value.line_number == len(lines)
+    assert str(err.value).endswith(f"second {tag} tag in one [Term] stanza")
+
+
 def test_stanza_without_id():
     with pytest.raises(MalformedStanza):
         parse_obo(io.StringIO("[Term]\nname: anonymous\n"))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,21 @@ def test_no_defined_common_ancestor(diamond):
     for fn in (gene_similarity, simmax_oracle):
         with pytest.raises(NoDefinedCommonAncestor):
             fn(diamond, blank, corpus, "g1", "g2")
+
+
+def test_gene_with_empty_term_set(diamond, diamond_gic):
+    """A gene that the corpus holds with no retained term has no SimMax:
+    the union path and the term-pair oracle both raise EmptyTermSet for
+    it, in either position of the pair."""
+    built = build_corpus([("g1", "c")], diamond, min_depth=0)
+    corpus = dataclasses.replace(
+        built, gene_terms={**built.gene_terms, "g0": frozenset()},
+        gene_ancestors={**built.gene_ancestors, "g0": built.gene_ancestors["g1"][:0]})
+    for fn in (gene_similarity, simmax_oracle):
+        for pair in (("g0", "g1"), ("g1", "g0")):
+            with pytest.raises(EmptyTermSet) as err:
+                fn(diamond, diamond_gic, corpus, *pair)
+            assert err.value.gene == "g0"
 
 
 # --- SimMax from ancestor unions against the term-pair oracle ---
