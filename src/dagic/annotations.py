@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCorpus, MalformedLine, UnknownFormat, UnknownTerm, require_fields
+from .errors import (EmptyCorpus, LineError, MalformedLine, UnknownFormat, UnknownTerm,
+                     require_fields)
 
 log = logging.getLogger(__name__)
 
@@ -20,14 +21,15 @@ log = logging.getLogger(__name__)
 def parse_annotations(stream, format="tsv"):
     """Parse raw (gene id, term id) pairs; duplicates preserved as given."""
     if format == "tsv":
-        return _parse_tsv(stream)
+        return [(gene, term) for _, gene, term in _tsv_rows(stream)]
     if format == "gaf":
         return _parse_gaf(stream)
     raise UnknownFormat(format)
 
 
-def _parse_tsv(stream):
-    pairs = []
+def _tsv_rows(stream):
+    """(line number, column 1, column 2) of each non-blank line of a
+    2-column TSV."""
     for lineno, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n")
         if not line:
@@ -36,7 +38,19 @@ def _parse_tsv(stream):
         if len(cols) != 2:
             raise MalformedLine(lineno, f"expected 2 tab-separated columns, got {len(cols)}")
         require_fields(lineno, cols, (1, 2))
-        pairs.append((cols[0], cols[1]))
+        yield lineno, cols[0], cols[1]
+
+
+def parse_gene_pairs(stream, genes):
+    """The (gene_a, gene_b) rows of a 2-column TSV, every gene checked
+    against `genes` before any pair is returned: the first one missing
+    from it raises a LineError at its line."""
+    pairs = []
+    for lineno, a, b in _tsv_rows(stream):
+        for gene in (a, b):
+            if gene not in genes:
+                raise LineError(lineno, f"unknown gene {gene!r}")
+        pairs.append((a, b))
     return pairs
 
 

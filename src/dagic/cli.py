@@ -203,7 +203,8 @@ def cmd_semsim(cfg, out):
     corpus = _load_corpus(cfg, o)
     table = _ic_table(cfg, o)
     with open_input(cfg.pairs_path) as fh:
-        gene_pairs = annotations.parse_annotations(fh, format="tsv")
+        # an unknown gene ends the run at its line before any row is printed
+        gene_pairs = annotations.parse_gene_pairs(fh, corpus.gene_terms)
     for g1, g2 in gene_pairs:
         sim = semsim.gene_similarity(o, table, corpus, g1, g2)
         ta, tb, mica = sim.best_pair

@@ -26,7 +26,7 @@ from .errors import DegenerateOntology, EmptyCorpus
 
 @dataclass
 class EntropyReport:
-    total_bits: float           # H = H(first) + mean of conditional_bits
+    total_bits: float           # H, from the exact sum that also gives H(.|root)
     first_term_entropy: float   # log2 |N|
     conditional_bits: np.ndarray  # per first term x: log2 |Y_x|
     y_sizes: np.ndarray           # per first term x: |Y_x|
@@ -59,22 +59,22 @@ def _second_term_counts(o):
     return len(o) + 1 - o.anc_counts - o.desc_counts
 
 
-def _joint_bits(first_count, conditional_sum):
+def _joint_bits(n, first_count, log2_sum):
     # a uniform first draw over first_count terms, then a uniform second
-    # draw whose log2 sizes sum to conditional_sum (sizes of 1 add 0
-    # bits); one shared formula keeps H(.|root) and H bit-identical
-    return np.log2(first_count) + conditional_sum / first_count
+    # draw whose log2 sizes sum to log2_sum in _log2_table(n)'s fixed point
+    # (sizes of 1 add 0 bits); the sum is exact, so H(.|root) is H, and
+    # terms with the same sizes in any order get the same bits
+    return np.log2(first_count) + log2_sum * 2.0 ** -_log2_scale(n) / first_count
 
 
 def ontology_entropy(o):
     """Two-term annotation entropy of the ontology, in bits."""
     n = len(o)
     y_sizes = _second_term_counts(o)
-    conditional = np.log2(y_sizes.astype(np.float64))
     return EntropyReport(
-        total_bits=float(_joint_bits(n, conditional.sum())),
+        total_bits=float(_joint_bits(n, n, _log2_sums(_log2_table(n), y_sizes[None, :])[0])),
         first_term_entropy=float(np.log2(n)),
-        conditional_bits=conditional,
+        conditional_bits=np.log2(y_sizes.astype(np.float64)),
         y_sizes=y_sizes,
     )
 
@@ -94,13 +94,20 @@ def conditional_entropy_given(o, z):
     u = _second_term_counts(o) + shared - o.anc_counts[zi]
     u[anc] = 0
     sums = _log2_sums(_log2_table(n), u[None, :])
-    return float(_joint_bits(n + 1 - o.anc_counts[zi], sums)[0])
+    return float(_joint_bits(n, n + 1 - o.anc_counts[zi], sums)[0])
+
+
+def _log2_scale(n):
+    """The fraction bits s of _log2_table(n): the most for which a sum of n
+    entries of at most log2 n * 2^s, each rounded, stays below 2^63."""
+    return 62 - int(np.ceil(np.log2(n * np.log2(n) + 1)))
 
 
 def _log2_table(n):
-    """log2 k at index k for every size 1 <= k <= n that |Y_xz| can take,
-    and 0 at index 0: a row u of table indices holds u[x] = |Y_xz| for x
-    outside anc(z) and at most 0 for x in anc(z).
+    """log2 k in fixed point, round(log2 k * 2^s) as int64 with s =
+    _log2_scale(n), at index k for every size 1 <= k <= n that |Y_xz| can
+    take, and 0 at index 0: a row u of table indices holds u[x] = |Y_xz|
+    for x outside anc(z) and at most 0 for x in anc(z).
 
     S_z[x] = |anc(x) & anc(z)|. For x outside anc(z), desc(x) and anc(z)
     are disjoint (a descendant of x above z would put x above z), so
@@ -110,16 +117,15 @@ def _log2_table(n):
     Y_root,z = {root} and adds log2(1) = 0, so a row masks every
     ancestor with any index <= 0, which a "clip" take reads as index 0.
     """
-    tab = np.zeros(n + 1)
-    tab[1:] = np.log2(np.arange(1, n + 1, dtype=np.float64))
+    tab = np.zeros(n + 1, dtype=np.int64)
+    tab[1:] = np.rint(np.log2(np.arange(1, n + 1, dtype=np.float64)) * 2.0 ** _log2_scale(n))
     return tab
 
 
 def _log2_sums(tab, u):
     """sum of log2 |Y_xz| over x in X_z for each row of the 2-D array u
-    of table indices (_log2_table). Each row is summed alone, in the
-    order of a 1-D sum, so a term's sum does not depend on the rows
-    beside it or on the rows' integer type."""
+    of table indices (_log2_table), in the table's fixed point: an exact
+    int64 sum."""
     # a masked entry can be negative: "clip" reads it as index 0, and
     # mode="raise" would buffer the whole output
     return tab.take(u, mode="clip").sum(axis=1)
@@ -215,7 +221,8 @@ def _descendant_store(o, tp):
 class _Sweep:
     """The all-terms gIC walk of conditional_entropies_all, scheduled once
     for every term but the root; walk() runs a share of its blocks and
-    stores each of their terms' sum of log2 |Y_xz| in out.
+    stores each of their terms' sum of log2 |Y_xz|, in the fixed point
+    of _log2_table, in out.
 
     The walk carries each term's row as the table indices that
     _log2_sums reads, U_z[x] = |Y_xz| = |Y_x| + |anc(x) & anc(z)| -
@@ -278,7 +285,7 @@ class _Sweep:
 
     def __init__(self, o):
         n, root, counts = len(o), o.root_index, o.anc_counts
-        self.o, self.root, self.out = o, root, np.empty(n)
+        self.o, self.root, self.out = o, root, np.empty(n, dtype=np.int64)
         self.tab = _log2_table(n)
         self.u_root = _second_term_counts(o).astype(np.int16 if n < _NARROW_ROWS else np.int32)
         self.u_root[root] = 0
@@ -431,8 +438,8 @@ def conditional_entropies_all(o, workers=1):
     whole subtrees of the root, run in at most `workers` threads and store
     each term's sum of log2 |Y_xz|, which one _joint_bits turns into
     H(.|z) once every share is done. Every U is an exact integer vector
-    and each row is summed alone, so the result does not depend on the
-    worker count or the block bounds.
+    and every sum of its fixed-point logs is exact, so the result does not
+    depend on the worker count or the block bounds.
     """
     sweep, root = _Sweep(o), o.root_index
     sweep.out[root] = _log2_sums(sweep.tab, sweep.u_root[None, :])[0]
@@ -446,7 +453,7 @@ def conditional_entropies_all(o, workers=1):
         with ThreadPoolExecutor(max_workers=len(shares)) as pool:
             for f in [pool.submit(sweep.walk, share) for share in shares]:
                 f.result()
-    return _joint_bits(len(o) + 1 - o.anc_counts, sweep.out)
+    return _joint_bits(len(o), len(o) + 1 - o.anc_counts, sweep.out)
 
 
 def _table(metric, o, raw, undefined=frozenset()):

@@ -311,12 +311,16 @@ def test_invalid_utf8_is_error(tmp_path, monkeypatch):
      "!gaf-version: 2.2\nDB\tg1\tx\n", "c.gaf:2: GAF line needs at least 5 columns, got 3"),
     (["semsim", "--corpus", "c.tsv", "--pairs", "p.tsv"], "p.tsv", "g1\tg2\n\ng1\n",
      "p.tsv:3: expected 2 tab-separated columns, got 1"),
+    (["semsim", "--corpus", "c.tsv", "--pairs", "p.tsv"], "p.tsv", "g1\tg2\ng1\tgX\n",
+     "p.tsv:2: unknown gene 'gX'"),
     (["benchmark", "--corpus", "c.tsv", "--bitscores", "b.tsv"], "b.tsv",
      "g1\tg1\t9\ng1\tg2\t-5\n", "b.tsv:2: negative bit score -5.0"),
-], ids=["obo", "obo-second-id", "tsv", "gaf", "pairs", "bitscores"])
+], ids=["obo", "obo-second-id", "tsv", "gaf", "pairs", "pairs-unknown-gene", "bitscores"])
 def test_parse_error_names_file_and_line(tmp_path, monkeypatch, argv, bad, body, error):
     """A malformed input of each kind ends in exit 2 and one error line
-    naming the file and the line, as a config file's errors do."""
+    naming the file and the line, as a config file's errors do; a pairs
+    line naming a gene outside the corpus does too, before any row of
+    the lines above it is printed."""
     inputs = {"x.obo": DIAMOND_OBO, "c.tsv": "g1\tX:3\ng2\tX:3\n", "p.tsv": "g1\tg2\n",
               bad: body}
     for name, text in inputs.items():

@@ -12,6 +12,7 @@ schedule tests check the walk's layout (_Sweep) against sets, and the
 share test its cut into contiguous runs of whole subtrees of the root.
 """
 
+import io
 import itertools
 
 import numpy as np
@@ -20,10 +21,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dagic import build_ontology, conditional_entropy_given, dag, gic, ontology_entropy
-from dagic import metrics
+from dagic import metrics, parse_obo, to_graph
 from dagic.metrics import conditional_entropies_all
 
 from test_metrics import brute
+from test_output_contract import LEVELS, layered_obo
 
 
 @st.composite
@@ -227,6 +229,30 @@ def test_root_conditional_is_total_entropy(spec):
     o = build(spec)
     cond = conditional_entropies_all(o)
     assert cond[o.root_index] == ontology_entropy(o).total_bits
+
+
+def layered(seed=26, levels=LEVELS):
+    """The output contract's layered DAG, or another of its shape."""
+    ids, edges, _ = to_graph(parse_obo(io.StringIO(layered_obo(seed, levels))))
+    return build_ontology(ids, edges)
+
+
+def test_twin_leaves_have_equal_conditional_entropies():
+    """Twin leaves, leaves with the same strict ancestors, have rows that
+    are permutations of each other, so their H(.|z) are exactly equal at
+    every worker count, and the root's is exactly H. The contract DAG has
+    57 twin groups, and a float sum of each row split 5 of them."""
+    o = layered()
+    groups = {}
+    for i, t in enumerate(o.ids):
+        if o.desc_counts[i] == 0:
+            groups.setdefault(o.ancestors(t) - {t}, []).append(i)
+    twins = [g for g in groups.values() if len(g) > 1]
+    assert len(twins) == 57
+    for workers in (1, 2, 3):
+        cond = conditional_entropies_all(o, workers=workers)
+        assert [g for g in twins if len(set(cond[g].tolist())) > 1] == []
+        assert cond[o.root_index] == ontology_entropy(o).total_bits
 
 
 def two_chains(length=260):

@@ -15,6 +15,7 @@ from dagic import (
     sic,
     to_graph,
 )
+from dagic import metrics
 from dagic.errors import DegenerateOntology, UnknownTerm
 from dagic.metrics import conditional_entropies_all
 
@@ -95,6 +96,26 @@ def test_oracle_random_dags(rng):
         o = random_dag(rng)
         assert ontology_entropy(o).total_bits == pytest.approx(
             ontology_entropy_oracle(o), abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 70000])
+def test_fixed_point_log_sums_within_rounding(n):
+    """_log2_sums is an exact int64 sum of log2 k rounded to s fraction
+    bits, so a row of n sizes is within n * 2^-(s + 1) of the float sum,
+    plus the logs' own float rounding; masked entries (<= 0) add 0, and
+    a row of all n does not overflow. One term gives s = 62 and H = 0."""
+    tab, s = metrics._log2_table(n), metrics._log2_scale(n)
+    assert tab.dtype == np.int64 and s == 62 - math.ceil(math.log2(n * math.log2(n) + 1))
+    rows = np.vstack([np.random.default_rng(n).integers(-n, n + 1, size=(3, n)),
+                      np.full((1, n), n)])
+    sums = metrics._log2_sums(tab, rows)
+    for row, got in zip(rows.tolist(), sums.tolist()):
+        want = math.fsum(math.log2(k) for k in row if k > 0)
+        bound = n * 2.0 ** -(s + 1) + 4 * n * math.ulp(math.log2(n)) + 2 * math.ulp(want)
+        assert abs(got * 2.0 ** -s - want) <= bound
+    assert sums[-1] == n * int(tab[n]) < 2**63  # the int64 sum did not wrap
+    if n == 1:
+        assert s == 62 and ontology_entropy(build_ontology(["r"], [])).total_bits == 0.0
 
 
 # --- conditional entropy ---

@@ -52,12 +52,12 @@ BENCHMARK_DIGESTS = {
 GENES = 300
 
 
-def layered_obo(seed):
-    """An OBO file of len(LEVELS) levels; each term below the root has one
+def layered_obo(seed, levels=LEVELS):
+    """An OBO file of len(levels) levels; each term below the root has one
     or two is_a parents (two with probability 1/2) in the level above."""
     rng = random.Random(seed)
     stanzas, above, first = [], [], 0
-    for size in LEVELS:
+    for size in levels:
         level = range(first, first + size)
         for i in level:
             lines = ["[Term]", f"id: T:{i:05d}", f"name: term {i}"]

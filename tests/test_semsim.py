@@ -11,7 +11,7 @@ from dagic.metrics import ICTable
 
 from conftest import random_dag
 from oracles import simmax_oracle, term_similarity
-from test_gic_kernel import build, dags
+from test_gic_kernel import build, dags, layered
 
 
 @pytest.fixture
@@ -254,3 +254,17 @@ def test_signed_zeros_tie_and_smaller_pair_wins():
     assert sim.best_pair == ("n03", "n03", "n02")
     assert repr(sim.simmax) == "-0.0"
     assert_matches_oracle(o, table, corpus)
+
+
+def test_twin_micas_go_by_ascending_index():
+    """T:00521 and T:00693 are twin leaves of a 707-term layered DAG, so
+    their gIC is equal and the MICA of two genes annotated to both is the
+    lower index. A float sum of the sweep's rows gave T:00693 the higher
+    value in its last bits, and so the MICA."""
+    o = layered(seed=1, levels=[1, 6, 30, 120, 250, 300])
+    assert len(o) == 707
+    assert o.ancestors("T:00521") - {"T:00521"} == o.ancestors("T:00693") - {"T:00693"}
+    table = gic(o)
+    corpus = build_corpus([(g, t) for g in ("g1", "g2") for t in ("T:00521", "T:00693")],
+                          o, min_depth=0)
+    assert gene_similarity(o, table, corpus, "g1", "g2").best_pair == ("T:00521",) * 3
